@@ -16,8 +16,9 @@
 //	go test -bench BenchmarkHost -benchtime 5x | qbench -host -out BENCH_host.json
 //	    record host throughput: parse the wall-clock "simInstrs/s" metric the
 //	    BenchmarkHost* benchmarks report and write it as a trajectory
-//	    artifact. Host time is machine- and load-dependent, so -host is
-//	    report-only and never gates: -baseline is rejected with it.
+//	    artifact with a block describing the host. Host time is machine-
+//	    and load-dependent, so -host is report-only and never gates:
+//	    -baseline is rejected with it.
 //
 //	qbench -profile -out profiles/
 //	    run representative Chapter 6 workloads under the cycle-attribution
@@ -50,6 +51,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -71,10 +73,51 @@ type Report struct {
 
 // HostReport is the JSON document -host writes: wall-clock simulator
 // throughput per benchmark. Unlike cycle counts these are real-valued and
-// machine-dependent, so they are recorded as a trajectory, never gated.
+// machine-dependent, so they are recorded as a trajectory, never gated,
+// and carry the host they were measured on.
 type HostReport struct {
 	Metric     string             `json:"metric"`
+	Host       Host               `json:"host"`
 	Benchmarks map[string]float64 `json:"benchmarks"`
+}
+
+// Host describes the machine qbench runs on, which in the documented
+// pipeline is the one that ran the benchmarks: the fields perfbench
+// records with every result.
+type Host struct {
+	NProc      int    `json:"nproc"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	Go         string `json:"go"`
+	GOOS       string `json:"goos"`
+	GOARCH     string `json:"goarch"`
+	CPU        string `json:"cpu"`
+}
+
+func thisHost() Host {
+	return Host{
+		NProc:      runtime.NumCPU(),
+		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		Go:         runtime.Version(),
+		GOOS:       runtime.GOOS,
+		GOARCH:     runtime.GOARCH,
+		CPU:        cpuModel(),
+	}
+}
+
+// cpuModel reads the CPU model name on Linux; elsewhere it is "unknown".
+func cpuModel() string {
+	f, err := os.Open("/proc/cpuinfo")
+	if err != nil {
+		return "unknown"
+	}
+	defer f.Close()
+	sc := bufio.NewScanner(f)
+	for sc.Scan() {
+		if k, v, ok := strings.Cut(sc.Text(), ":"); ok && strings.TrimSpace(k) == "model name" {
+			return strings.TrimSpace(v)
+		}
+	}
+	return "unknown"
 }
 
 // procSuffix matches the "-8" GOMAXPROCS suffix go test appends to benchmark
@@ -150,7 +193,7 @@ func main() {
 		if len(vals) == 0 {
 			fatal(fmt.Errorf("no simInstrs/s metrics found in bench output"))
 		}
-		rep := &HostReport{Metric: "simInstrs/s", Benchmarks: vals}
+		rep := &HostReport{Metric: "simInstrs/s", Host: thisHost(), Benchmarks: vals}
 		if *outPath != "" {
 			blob, err := json.MarshalIndent(rep, "", "  ")
 			if err != nil {

@@ -92,3 +92,12 @@ func TestCommonProcSuffix(t *testing.T) {
 		}
 	}
 }
+
+// TestThisHost checks the host block -host writes into BENCH_host.json:
+// every field is filled in.
+func TestThisHost(t *testing.T) {
+	h := thisHost()
+	if h.NProc < 1 || h.GOMAXPROCS < 1 || h.Go == "" || h.GOOS == "" || h.GOARCH == "" || h.CPU == "" {
+		t.Errorf("incomplete host block %+v", h)
+	}
+}

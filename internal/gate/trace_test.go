@@ -283,20 +283,38 @@ func TestStitchedTraceEndToEnd(t *testing.T) {
 		}
 
 		// Pull the fleet-stitched view of the leader's trace from the gate.
-		resp, err := http.Get(gateSrv.URL + "/debugz/traces?id=" + string(leader.id))
-		if err != nil {
-			t.Fatal(err)
-		}
+		// Each process commits its root span when its handler returns,
+		// which can be just after the client has read the whole response,
+		// so fetch until every expected span is there or a deadline passes.
+		wantSpans := []string{"proxy", "gate.attempt", "run", "artifact", "peer.fetch", "simulate", "compile"}
 		var doc struct {
 			ID    xtrace.TraceID `json:"id"`
 			Spans []xtrace.Span  `json:"spans"`
 		}
-		if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
-			t.Fatalf("decode stitched trace: %v", err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("stitched trace: status %d", resp.StatusCode)
+		for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(20 * time.Millisecond) {
+			resp, err := http.Get(gateSrv.URL + "/debugz/traces?id=" + string(leader.id))
+			if err != nil {
+				t.Fatal(err)
+			}
+			doc.Spans = nil
+			if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
+				t.Fatalf("decode stitched trace: %v", err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("stitched trace: status %d", resp.StatusCode)
+			}
+			seen := make(map[string]bool)
+			for _, s := range doc.Spans {
+				seen[s.Name] = true
+			}
+			committed := true
+			for _, want := range wantSpans {
+				committed = committed && seen[want]
+			}
+			if committed || time.Now().After(deadline) {
+				break
+			}
 		}
 		if doc.ID != leader.id {
 			t.Fatalf("stitched doc id = %q, want %q", doc.ID, leader.id)
@@ -312,7 +330,7 @@ func TestStitchedTraceEndToEnd(t *testing.T) {
 			byName[s.Name] = append(byName[s.Name], s)
 			processes[s.Process] = true
 		}
-		for _, want := range []string{"proxy", "gate.attempt", "run", "artifact", "peer.fetch", "simulate", "compile"} {
+		for _, want := range wantSpans {
 			if len(byName[want]) == 0 {
 				t.Errorf("stitched trace missing %q span", want)
 			}

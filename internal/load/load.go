@@ -9,7 +9,9 @@
 // it just accumulates in-flight requests (up to MaxInFlight; beyond that
 // the generator counts a drop rather than blocking, preserving the
 // offered-rate semantics). This is the load model that exposes queueing
-// collapse; closed-loop generators hide it by self-throttling.
+// collapse; closed-loop generators hide it by self-throttling. Latency
+// is timed from each request's scheduled time, not from when it fired, so
+// a stall in the generator itself shows in the requests it delayed.
 //
 // The Zipf skew mirrors real compile-service traffic: a few hot programs
 // dominate, which is precisely the regime the serving tier's coalescing
@@ -328,7 +330,7 @@ func Run(ctx context.Context, target string, opts Options) (*Report, error) {
 		go func() {
 			defer wg.Done()
 			defer func() { <-sem }()
-			fire(ctx, client, target, body, trace, col)
+			fire(ctx, client, target, body, next, trace, col)
 		}()
 	}
 	wg.Wait()
@@ -389,8 +391,10 @@ func Run(ctx context.Context, target string, opts Options) (*Report, error) {
 }
 
 // fire sends one request and records its outcome. Transport errors and
-// responses are both terminal outcomes: open-loop load never retries.
-func fire(ctx context.Context, client *http.Client, target string, body []byte, trace xtrace.TraceID, col *collector) {
+// responses are both terminal outcomes: open-loop load never retries. The
+// latency runs from due, the request's scheduled time, so a generator
+// that fires late counts the delay against the requests it held up.
+func fire(ctx context.Context, client *http.Client, target string, body []byte, due time.Time, trace xtrace.TraceID, col *collector) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, target+"/run", bytes.NewReader(body))
 	if err != nil {
 		col.transportError(trace)
@@ -402,13 +406,12 @@ func fire(ctx context.Context, client *http.Client, target string, body []byte, 
 		// its root span under this id and records the trace server-side.
 		req.Header.Set(xtrace.TraceHeader, string(trace))
 	}
-	start := time.Now()
 	resp, err := client.Do(req)
 	if err != nil {
 		col.transportError(trace)
 		return
 	}
-	d := time.Since(start)
+	d := time.Since(due)
 	// Drain so the connection is reusable; the content was already
 	// validated server-side and the generator only scores headers.
 	io.Copy(io.Discard, resp.Body)

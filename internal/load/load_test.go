@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"queuemachine/internal/fleet"
 	"queuemachine/internal/service"
 )
 
@@ -117,5 +118,30 @@ func TestRunEndToEnd(t *testing.T) {
 	// certain; each repeat is a hit or a coalesce.
 	if rep.Cache["hit"]+rep.Cache["coalesced"] == 0 {
 		t.Errorf("no cache hits or coalesced responses: %v", rep.Cache)
+	}
+}
+
+// TestLatencyCountsGeneratorStall: a request that fires late, as behind a
+// stalled generator, is timed from when it was due, so the stall shows in
+// its latency instead of vanishing from the report.
+func TestLatencyCountsGeneratorStall(t *testing.T) {
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Write([]byte(`{}`))
+	}))
+	defer ts.Close()
+	col := &collector{
+		status:   make(map[string]int64),
+		cache:    make(map[string]int64),
+		replicas: make(map[string]int64),
+		hist:     fleet.NewLatencyHistogram(),
+	}
+	const stall = 200 * time.Millisecond
+	due := time.Now().Add(-stall)
+	fire(context.Background(), ts.Client(), ts.URL, []byte(`{}`), due, "", col)
+	if col.completed != 1 {
+		t.Fatalf("completed = %d, want 1", col.completed)
+	}
+	if got := col.hist.Max(); got < stall {
+		t.Errorf("latency = %v, want at least the %v the request was late", got, stall)
 	}
 }

@@ -62,8 +62,9 @@ type entry struct {
 	receivers []ContextRef  // FIFO of blocked receivers
 	cellValue int32         // fetch-and-φ storage
 	isCell    bool
-	resident  bool // true while cached; false once spilled to backing memory
-	lastUse   uint64
+	resident  bool   // true while cached; false once spilled to backing memory
+	prev      *entry // recency-list links while resident
+	next      *entry
 }
 
 func (e *entry) state() State {
@@ -92,22 +93,28 @@ type Stats struct {
 
 // Cache is one message processor's channel cache.
 //
-// Resident entries live in a flat slice so the eviction scan walks the
-// slice instead of iterating a map, and entries dropped in the empty state
-// are recycled through a free list, so steady-state channel traffic
-// allocates nothing. One map covers both cached and spilled entries — an
-// eviction to backing memory and the later reload are flag flips, not map
-// writes — and the victim choice is a pure minimum over (occupancy,
-// recency) with unique recency stamps, so it does not depend on slice
-// order.
+// One map covers both cached and spilled entries — an eviction to backing
+// memory and the later reload are flag flips, not map writes — and entries
+// dropped in the empty state are recycled through a free list, so
+// steady-state channel traffic allocates nothing.
+//
+// The victim on overflow is the least recently used empty entry, else the
+// least recently used occupied one. Resident entries are kept on two
+// intrusive recency lists, one per class, and every operation re-files its
+// entry at the most-recent end of the list for the state it leaves the
+// entry in. Only an operation changes an entry's state, and it also makes
+// the entry the most recently used, so each list stays in recency order
+// and the victim is a list head: O(1) where a scan was O(capacity).
 type Cache struct {
 	capacity int
+	resident int              // entries held, at most capacity
 	byChan   map[int32]*entry // every known channel, resident or spilled
-	ents     []*entry         // resident entries, unordered
 	free     []*entry         // empty entries recycled after eviction
-	done     Completion
-	clock    uint64
-	Stats    Stats
+	// Sentinels of the circular recency lists, least recent first:
+	// resident entries in the empty state, and all other resident ones.
+	empties, occupied entry
+	done              Completion
+	Stats             Stats
 }
 
 // New builds a cache with the given number of entries (at least one).
@@ -115,22 +122,22 @@ func New(capacity int) *Cache {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &Cache{
+	c := &Cache{
 		capacity: capacity,
 		byChan:   make(map[int32]*entry, capacity),
-		ents:     make([]*entry, 0, capacity),
 	}
+	c.empties.prev, c.empties.next = &c.empties, &c.empties
+	c.occupied.prev, c.occupied.next = &c.occupied, &c.occupied
+	return c
 }
 
 // lookup finds or creates the entry for a channel, charging a miss when it
 // must be reloaded from (or first created in) backing memory, and evicting
-// the least recently used occupied entry on overflow. It reports whether
-// the access missed the cache.
+// on overflow. It reports whether the access missed the cache. The caller
+// re-files the entry once its operation has set the entry's new state.
 func (c *Cache) lookup(ch int32) (*entry, bool) {
-	c.clock++
 	e, known := c.byChan[ch]
 	if known && e.resident {
-		e.lastUse = c.clock
 		c.Stats.Hits++
 		return e, false
 	}
@@ -145,46 +152,41 @@ func (c *Cache) lookup(ch int32) (*entry, bool) {
 		}
 		c.byChan[ch] = e
 	}
-	e.lastUse = c.clock
-	c.install(e)
-	return e, true
-}
-
-func (c *Cache) install(e *entry) {
-	if len(c.ents) >= c.capacity {
+	if c.resident >= c.capacity {
 		c.evictOne()
 	}
 	e.resident = true
-	c.ents = append(c.ents, e)
+	c.resident++
+	return e, true
 }
 
-// evictOne removes the least recently used entry, preferring free (empty)
+// file moves a resident entry to the most-recent end of the recency list
+// for its current state.
+func (c *Cache) file(e *entry) {
+	if e.next != nil {
+		e.prev.next, e.next.prev = e.next, e.prev
+	}
+	head := &c.occupied
+	if e.state() == Empty {
+		head = &c.empties
+	}
+	e.prev, e.next = head.prev, head
+	head.prev.next = e
+	head.prev = e
+}
+
+// evictOne removes the least recently used entry, preferring empty
 // entries; occupied entries are written back to memory at eviction cost.
-// Recency stamps are unique, so the choice is deterministic.
 func (c *Cache) evictOne() {
-	if len(c.ents) == 0 {
-		return
+	victim := c.empties.next
+	victimEmpty := victim != &c.empties
+	if !victimEmpty {
+		victim = c.occupied.next
 	}
-	vi := 0
-	victim := c.ents[0]
-	victimEmpty := victim.state() == Empty
-	for i := 1; i < len(c.ents); i++ {
-		e := c.ents[i]
-		isEmpty := e.state() == Empty
-		switch {
-		case isEmpty != victimEmpty:
-			if isEmpty {
-				vi, victim, victimEmpty = i, e, true
-			}
-		case e.lastUse < victim.lastUse:
-			vi, victim = i, e
-		}
-	}
-	last := len(c.ents) - 1
-	c.ents[vi] = c.ents[last]
-	c.ents[last] = nil
-	c.ents = c.ents[:last]
+	victim.prev.next, victim.next.prev = victim.next, victim.prev
+	victim.prev, victim.next = nil, nil
 	victim.resident = false
+	c.resident--
 	if victimEmpty {
 		delete(c.byChan, victim.channel)
 		victim.cellValue = 0
@@ -211,6 +213,7 @@ type Completion struct {
 func (c *Cache) Send(ch, val int32, sender ContextRef) (done *Completion, missed bool, err error) {
 	c.Stats.Sends++
 	e, missed := c.lookup(ch)
+	defer c.file(e)
 	if e.isCell {
 		return nil, missed, fmt.Errorf("mcache: channel %d is a fetch-and-φ cell", ch)
 	}
@@ -231,6 +234,7 @@ func (c *Cache) Send(ch, val int32, sender ContextRef) (done *Completion, missed
 func (c *Cache) Recv(ch int32, receiver ContextRef) (done *Completion, missed bool, err error) {
 	c.Stats.Receives++
 	e, missed := c.lookup(ch)
+	defer c.file(e)
 	if e.isCell {
 		return nil, missed, fmt.Errorf("mcache: channel %d is a fetch-and-φ cell", ch)
 	}
@@ -251,6 +255,7 @@ func (c *Cache) Recv(ch int32, receiver ContextRef) (done *Completion, missed bo
 func (c *Cache) FetchAndAdd(ch, delta int32) (old int32, missed bool, err error) {
 	c.Stats.FetchPhis++
 	e, missed := c.lookup(ch)
+	defer c.file(e)
 	if !e.isCell && e.state() != Empty {
 		return 0, missed, fmt.Errorf("mcache: channel %d is in rendezvous use (%v)", ch, e.state())
 	}
@@ -265,6 +270,7 @@ func (c *Cache) FetchAndAdd(ch, delta int32) (old int32, missed bool, err error)
 func (c *Cache) FetchAndStore(ch, val int32) (old int32, missed bool, err error) {
 	c.Stats.FetchPhis++
 	e, missed := c.lookup(ch)
+	defer c.file(e)
 	if !e.isCell && e.state() != Empty {
 		return 0, missed, fmt.Errorf("mcache: channel %d is in rendezvous use (%v)", ch, e.state())
 	}
@@ -293,4 +299,4 @@ func (c *Cache) PendingWaiters(ch int32) int {
 }
 
 // Resident reports the number of entries currently held in the cache.
-func (c *Cache) Resident() int { return len(c.ents) }
+func (c *Cache) Resident() int { return c.resident }

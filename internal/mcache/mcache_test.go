@@ -1,6 +1,7 @@
 package mcache
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -268,5 +269,191 @@ func TestMinimumCapacity(t *testing.T) {
 	done, _, err = c.Recv(1, ctxB)
 	if err != nil || done == nil || done.Value != 9 {
 		t.Fatal("recv failed")
+	}
+}
+
+// refCache is the message cache with the eviction it had before the
+// recency lists: every resident entry carries a unique last-use stamp, and
+// an overflow scans all of them for the minimum over (occupancy, last
+// use). It is the oracle the O(1) victim choice must match exactly.
+type refCache struct {
+	capacity int
+	byChan   map[int32]*refEntry
+	ents     []*refEntry
+	clock    uint64
+	Stats    Stats
+}
+
+type refEntry struct {
+	entry
+	lastUse uint64
+}
+
+func (r *refCache) lookup(ch int32) (*refEntry, bool) {
+	r.clock++
+	e, known := r.byChan[ch]
+	if known && e.resident {
+		e.lastUse = r.clock
+		r.Stats.Hits++
+		return e, false
+	}
+	r.Stats.Misses++
+	if !known {
+		e = &refEntry{entry: entry{channel: ch}}
+		r.byChan[ch] = e
+	}
+	e.lastUse = r.clock
+	if len(r.ents) >= r.capacity {
+		r.evictOne()
+	}
+	e.resident = true
+	r.ents = append(r.ents, e)
+	return e, true
+}
+
+func (r *refCache) evictOne() {
+	vi := 0
+	victim := r.ents[0]
+	victimEmpty := victim.state() == Empty
+	for i := 1; i < len(r.ents); i++ {
+		e := r.ents[i]
+		isEmpty := e.state() == Empty
+		switch {
+		case isEmpty != victimEmpty:
+			if isEmpty {
+				vi, victim, victimEmpty = i, e, true
+			}
+		case e.lastUse < victim.lastUse:
+			vi, victim = i, e
+		}
+	}
+	r.ents = append(r.ents[:vi], r.ents[vi+1:]...)
+	victim.resident = false
+	if victimEmpty {
+		delete(r.byChan, victim.channel)
+	} else {
+		r.Stats.Evictions++
+	}
+}
+
+func (r *refCache) send(ch, val int32, sender ContextRef) (*Completion, bool, error) {
+	r.Stats.Sends++
+	e, missed := r.lookup(ch)
+	if e.isCell {
+		return nil, missed, fmt.Errorf("mcache: channel %d is a fetch-and-φ cell", ch)
+	}
+	if len(e.receivers) > 0 {
+		rcv := e.receivers[0]
+		e.receivers = e.receivers[1:]
+		r.Stats.Rendezvous++
+		return &Completion{Value: val, Sender: sender, Receiver: rcv}, missed, nil
+	}
+	e.senders = append(e.senders, waitingSend{val: val, sender: sender})
+	return nil, missed, nil
+}
+
+func (r *refCache) recv(ch int32, receiver ContextRef) (*Completion, bool, error) {
+	r.Stats.Receives++
+	e, missed := r.lookup(ch)
+	if e.isCell {
+		return nil, missed, fmt.Errorf("mcache: channel %d is a fetch-and-φ cell", ch)
+	}
+	if len(e.senders) > 0 {
+		s := e.senders[0]
+		e.senders = e.senders[1:]
+		r.Stats.Rendezvous++
+		return &Completion{Value: s.val, Sender: s.sender, Receiver: receiver}, missed, nil
+	}
+	e.receivers = append(e.receivers, receiver)
+	return nil, missed, nil
+}
+
+// fetchPhi is fetch-and-add when add is set, else fetch-and-store.
+func (r *refCache) fetchPhi(ch, v int32, add bool) (int32, bool, error) {
+	r.Stats.FetchPhis++
+	e, missed := r.lookup(ch)
+	if !e.isCell && e.state() != Empty {
+		return 0, missed, fmt.Errorf("mcache: channel %d is in rendezvous use (%v)", ch, e.state())
+	}
+	e.isCell = true
+	old := e.cellValue
+	if add {
+		e.cellValue += v
+	} else {
+		e.cellValue = v
+	}
+	return old, missed, nil
+}
+
+// TestEvictionMatchesReference drives the cache and the reference scan
+// with the same seeded random operations over more channels than entries,
+// error paths included (a cell used as a channel, a channel used as a
+// cell), and compares everything observable after every operation.
+func TestEvictionMatchesReference(t *testing.T) {
+	for _, capacity := range []int{1, 2, 3, 64} {
+		for seed := int64(1); seed <= 20; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			c := New(capacity)
+			r := &refCache{capacity: capacity, byChan: map[int32]*refEntry{}}
+			channels := int32(2*capacity + 3)
+			var errs, evictions int
+			for op := 0; op < 2000; op++ {
+				ch := 1 + rng.Int31n(channels)
+				v := rng.Int31n(1000)
+				who := ContextRef{PE: rng.Intn(4), Ctx: op}
+				var (
+					got, want         *Completion
+					gotOld, wantOld   int32
+					gotMiss, wantMiss bool
+					gotErr, wantErr   error
+				)
+				kind := rng.Intn(8)
+				switch {
+				case kind < 3:
+					got, gotMiss, gotErr = c.Send(ch, v, who)
+					want, wantMiss, wantErr = r.send(ch, v, who)
+				case kind < 6:
+					got, gotMiss, gotErr = c.Recv(ch, who)
+					want, wantMiss, wantErr = r.recv(ch, who)
+				case kind < 7:
+					gotOld, gotMiss, gotErr = c.FetchAndAdd(ch, v)
+					wantOld, wantMiss, wantErr = r.fetchPhi(ch, v, true)
+				default:
+					gotOld, gotMiss, gotErr = c.FetchAndStore(ch, v)
+					wantOld, wantMiss, wantErr = r.fetchPhi(ch, v, false)
+				}
+				at := func() string {
+					return fmt.Sprintf("cap %d seed %d op %d (kind %d ch %d)", capacity, seed, op, kind, ch)
+				}
+				if (got == nil) != (want == nil) || got != nil && *got != *want {
+					t.Fatalf("%s: completion %+v, want %+v", at(), got, want)
+				}
+				if gotOld != wantOld || gotMiss != wantMiss || fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+					t.Fatalf("%s: (old %d, missed %v, err %v), want (%d, %v, %v)",
+						at(), gotOld, gotMiss, gotErr, wantOld, wantMiss, wantErr)
+				}
+				if gotErr != nil {
+					errs++
+				}
+				if c.Stats != r.Stats || c.Resident() != len(r.ents) {
+					t.Fatalf("%s: stats %+v resident %d, want %+v resident %d",
+						at(), c.Stats, c.Resident(), r.Stats, len(r.ents))
+				}
+				for k := int32(1); k <= channels; k++ {
+					wantState, wantWaiters := Empty, 0
+					if e, ok := r.byChan[k]; ok {
+						wantState, wantWaiters = e.state(), len(e.senders)+len(e.receivers)
+					}
+					if s, w := c.ChannelState(k), c.PendingWaiters(k); s != wantState || w != wantWaiters {
+						t.Fatalf("%s: channel %d is %v with %d waiters, want %v with %d",
+							at(), k, s, w, wantState, wantWaiters)
+					}
+				}
+				evictions = int(r.Stats.Evictions)
+			}
+			if errs == 0 || evictions == 0 {
+				t.Fatalf("cap %d seed %d: %d errors, %d evictions; the sequence misses a path", capacity, seed, errs, evictions)
+			}
+		}
 	}
 }

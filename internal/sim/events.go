@@ -1,6 +1,9 @@
 package sim
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // eventKind discriminates the simulator's event types.
 type eventKind uint8
@@ -51,45 +54,217 @@ type event struct {
 	op   chanOp
 }
 
-// eventQueue is a deterministic min-heap ordered by (time, seq), laid out
-// as an index-based 4-ary heap over a flat event array. Compared to the
-// previous container/heap implementation it removes the two interface
-// dispatches and the interface-boxing allocation per operation as well as
-// the per-event *event allocation, and the shallower 4-ary tree roughly
-// halves the sift depth at the queue sizes a simulation reaches.
+// calWidth is the calendar's window in cycles: one bucket per cycle. Every
+// schedule delta measured on the exact-gated programs at 1–8 PEs is under
+// 64 cycles, and at 64 PEs 79% are under 64 and 95% under 512, so a
+// 256-cycle window holds nearly every event in a bucket while the bitmap
+// of non-empty buckets stays four words.
+const (
+	calWidth = 256
+	calMask  = calWidth - 1
+	calWords = calWidth / 64
+)
+
+// eventQueue is a deterministic priority queue ordered by (time, seq): a
+// calendar queue (Brown, CACM 31(10), 1988) of calWidth one-cycle buckets
+// covering the window [base, base+calWidth), with a 4-ary heap for the
+// events scheduled beyond it. base is the time of the last pop, so it
+// never passes a pending event.
+//
+// Each bucket is an intrusive FIFO threaded through one growing slab of
+// slots with a free list, and a bitmap of non-empty buckets finds the
+// earliest one in a few word tests, so push and pop are O(1) for in-window
+// events and allocate nothing once the slab has reached the run's
+// high-water mark.
+//
+// The order is exact. A bucket holds only events of one time, because the
+// window spans calWidth cycles, one bucket each. Within a bucket FIFO
+// order is seq order: the simulator assigns seq in push order, an overflow
+// event moves into its bucket as soon as the window first covers its
+// time, before any direct push can land there, and the heap hands such
+// events over in (time, seq) order.
 type eventQueue struct {
-	a []event
+	base int64
+	n    int // events queued, in buckets and heap
+
+	// Bucket b holds the events at the window time congruent to b modulo
+	// calWidth, as a list of slot indices from head[b] to tail[b]. Slot 0
+	// is never used, so index 0 ends a list and the zero queue is empty.
+	head, tail [calWidth]int32
+	bits       [calWords]uint64 // bit b: bucket b is non-empty
+	slab       []slot
+	free       int32 // first free slot, 0 when none
+
+	far eventHeap // events at base+calWidth or later
 }
 
-func (q *eventQueue) len() int { return len(q.a) }
+type slot struct {
+	ev   event
+	next int32
+}
+
+func (q *eventQueue) len() int { return q.n }
 
 // horizonInf is the batching horizon of an empty queue: no scheduled event
 // can ever preempt a straight-line run.
 const horizonInf = int64(math.MaxInt64)
 
+// push inserts e. Events must be pushed in seq order, and no earlier than
+// the last pop unless the queue has drained.
+func (q *eventQueue) push(e event) {
+	if e.time < q.base {
+		if q.n != 0 {
+			panic("sim: event scheduled before the current time")
+		}
+		q.base = e.time
+	}
+	q.n++
+	q.insert(e)
+}
+
+// insert files e in its bucket, or in the heap when it lies beyond the
+// window.
+func (q *eventQueue) insert(e event) {
+	if e.time-q.base >= calWidth {
+		q.far.push(e)
+		return
+	}
+	i := q.free
+	if i != 0 {
+		q.free = q.slab[i].next
+		q.slab[i] = slot{ev: e}
+	} else {
+		if len(q.slab) == 0 {
+			q.slab = append(q.slab, slot{}) // slot 0 is the list terminator
+		}
+		i = int32(len(q.slab))
+		q.slab = append(q.slab, slot{ev: e})
+	}
+	b := int(e.time) & calMask
+	if q.head[b] == 0 {
+		q.head[b] = i
+		q.bits[b>>6] |= 1 << (b & 63)
+	} else {
+		q.slab[q.tail[b]].next = i
+	}
+	q.tail[b] = i
+}
+
+// pop removes and returns the minimum event.
+func (q *eventQueue) pop() event {
+	q.n--
+	b := q.scan(int(q.base))
+	if b < 0 {
+		e := q.far.pop()
+		q.advance(e.time)
+		return e
+	}
+	i := q.head[b]
+	s := &q.slab[i]
+	e := s.ev
+	q.head[b] = s.next
+	if s.next == 0 {
+		q.bits[b>>6] &^= 1 << (b & 63)
+	}
+	s.next = q.free
+	q.free = i
+	if e.time != q.base {
+		q.advance(e.time)
+	}
+	return e
+}
+
+// peek returns the minimum event without removing it. The pointer is valid
+// until the next push or pop.
+func (q *eventQueue) peek() *event {
+	if b := q.scan(int(q.base)); b >= 0 {
+		return &q.slab[q.head[b]].ev
+	}
+	return &q.far.a[0]
+}
+
 // peekTime reports the earliest scheduled time without popping, or
 // horizonInf when the queue is empty. This is the next-event horizon the
 // step-batching loop runs against.
 func (q *eventQueue) peekTime() int64 {
-	if len(q.a) == 0 {
-		return horizonInf
+	if b := q.scan(int(q.base)); b >= 0 {
+		return q.slab[q.head[b]].ev.time
 	}
-	return q.a[0].time
+	return q.far.peekTime()
 }
 
-// secondTime reports the earliest scheduled time excluding the root event:
-// the batching horizon the root's handler will observe once the root is
-// popped. In the 4-ary layout every non-root event is dominated by one of
-// the root's at most four children, so a scan of slots 1..4 suffices.
+// secondTime reports the earliest scheduled time excluding the minimum
+// event: the batching horizon the minimum's handler will observe once it
+// is popped.
 func (q *eventQueue) secondTime() int64 {
-	n := len(q.a)
+	b := q.scan(int(q.base))
+	if b < 0 {
+		return q.far.secondTime()
+	}
+	if h := &q.slab[q.head[b]]; h.next != 0 {
+		return h.ev.time
+	}
+	if c := q.scan(b + 1); c != b {
+		return q.slab[q.head[c]].ev.time
+	}
+	return q.far.peekTime()
+}
+
+// scan returns the first non-empty bucket at or after bucket from in
+// circular order, which is time order when from is the window's start, or
+// -1 when every bucket is empty.
+func (q *eventQueue) scan(from int) int {
+	from &= calMask
+	w := from >> 6
+	if m := q.bits[w] >> (from & 63); m != 0 {
+		return from + bits.TrailingZeros64(m)
+	}
+	// The remaining words in circular order, ending with the low bits of
+	// word w itself (its bits at or above from are already known clear).
+	for k := 1; k <= calWords; k++ {
+		ww := (w + k) & (calWords - 1)
+		if m := q.bits[ww]; m != 0 {
+			return ww<<6 + bits.TrailingZeros64(m)
+		}
+	}
+	return -1
+}
+
+// advance moves the window start forward to t and files every overflow
+// event the window now covers into its bucket.
+func (q *eventQueue) advance(t int64) {
+	q.base = t
+	for len(q.far.a) > 0 && q.far.a[0].time-t < calWidth {
+		q.insert(q.far.pop())
+	}
+}
+
+// eventHeap is a min-heap ordered by (time, seq), laid out as an
+// index-based 4-ary heap over a flat event array; the calendar keeps it
+// for the events beyond its window.
+type eventHeap struct {
+	a []event
+}
+
+func (h *eventHeap) peekTime() int64 {
+	if len(h.a) == 0 {
+		return horizonInf
+	}
+	return h.a[0].time
+}
+
+// secondTime reports the earliest time excluding the root. In the 4-ary
+// layout every non-root event is dominated by one of the root's at most
+// four children, so a scan of slots 1..4 suffices.
+func (h *eventHeap) secondTime() int64 {
+	n := len(h.a)
 	if n < 2 {
 		return horizonInf
 	}
-	best := q.a[1].time
+	best := h.a[1].time
 	for c := 2; c < n && c < 5; c++ {
-		if q.a[c].time < best {
-			best = q.a[c].time
+		if h.a[c].time < best {
+			best = h.a[c].time
 		}
 	}
 	return best
@@ -97,33 +272,33 @@ func (q *eventQueue) secondTime() int64 {
 
 // less orders events by (time, seq); seq breaks ties in schedule order,
 // which is what makes the simulation deterministic.
-func (q *eventQueue) less(i, j int) bool {
-	if q.a[i].time != q.a[j].time {
-		return q.a[i].time < q.a[j].time
+func (h *eventHeap) less(i, j int) bool {
+	if h.a[i].time != h.a[j].time {
+		return h.a[i].time < h.a[j].time
 	}
-	return q.a[i].seq < q.a[j].seq
+	return h.a[i].seq < h.a[j].seq
 }
 
 // push inserts e, sifting it up toward the root.
-func (q *eventQueue) push(e event) {
-	q.a = append(q.a, e)
-	i := len(q.a) - 1
+func (h *eventHeap) push(e event) {
+	h.a = append(h.a, e)
+	i := len(h.a) - 1
 	for i > 0 {
 		p := (i - 1) / 4
-		if !q.less(i, p) {
+		if !h.less(i, p) {
 			break
 		}
-		q.a[i], q.a[p] = q.a[p], q.a[i]
+		h.a[i], h.a[p] = h.a[p], h.a[i]
 		i = p
 	}
 }
 
 // pop removes and returns the minimum event.
-func (q *eventQueue) pop() event {
-	top := q.a[0]
-	n := len(q.a) - 1
-	q.a[0] = q.a[n]
-	q.a = q.a[:n]
+func (h *eventHeap) pop() event {
+	top := h.a[0]
+	n := len(h.a) - 1
+	h.a[0] = h.a[n]
+	h.a = h.a[:n]
 	i := 0
 	for {
 		first := 4*i + 1
@@ -133,14 +308,14 @@ func (q *eventQueue) pop() event {
 		least := first
 		last := min(first+4, n)
 		for c := first + 1; c < last; c++ {
-			if q.less(c, least) {
+			if h.less(c, least) {
 				least = c
 			}
 		}
-		if !q.less(least, i) {
+		if !h.less(least, i) {
 			break
 		}
-		q.a[i], q.a[least] = q.a[least], q.a[i]
+		h.a[i], h.a[least] = h.a[least], h.a[i]
 		i = least
 	}
 	return top

@@ -202,16 +202,16 @@ func (p *parEngine) run() {
 	}
 }
 
-// await makes the root event committable. For a step event this means the
-// element's recorded lookahead provably carries the commit loop past the
-// event: to the context's blocking action, to the batching horizon, to a
-// watchdog trip, or to window saturation. Anything short of that extends
-// the window and waits for the worker — the only place the commit loop
-// ever blocks.
+// await makes the queue's minimum event committable. For a step event
+// this means the element's recorded lookahead provably carries the commit
+// loop past the event: to the context's blocking action, to the batching
+// horizon, to a watchdog trip, or to window saturation. Anything short of
+// that extends the window and waits for the worker — the only place the
+// commit loop ever blocks.
 func (p *parEngine) await() {
 	s := p.s
 	for {
-		e := &s.q.a[0]
+		e := s.q.peek()
 		if e.kind != evStep {
 			return
 		}
@@ -346,7 +346,7 @@ func (p *parEngine) step(e event) {
 			s.schedule(t, event{kind: evStep, pe: e.pe, ctx: int32(c.ID)})
 			return
 		}
-		// The next step would be the heap minimum anyway; take it without
+		// The next step would be the queue minimum anyway; take it without
 		// the round-trip, replaying the bookkeeping the event pop would
 		// have done: advance the clock, trip the cycle watchdog, close
 		// sampling buckets, and poll for cancellation.

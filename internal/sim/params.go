@@ -59,7 +59,7 @@ type Params struct {
 	// O(DataWords) copy per request.
 	KeepData bool
 	// NoBatch disables straight-line step batching, forcing the event loop
-	// back to one heap round-trip per instruction. Results are identical
+	// back to one queue round-trip per instruction. Results are identical
 	// either way — the flag exists purely as the differential-testing
 	// oracle for the batching equivalence property test and as a
 	// diagnostic escape hatch; it is never faster.

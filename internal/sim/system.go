@@ -519,7 +519,7 @@ func (s *System) handleStep(e event) {
 			s.schedule(t, event{kind: evStep, pe: e.pe, ctx: int32(c.ID)})
 			return
 		}
-		// The next step would be the heap minimum anyway; take it without
+		// The next step would be the queue minimum anyway; take it without
 		// the round-trip, replaying the bookkeeping the event pop would
 		// have done: advance the clock, trip the cycle watchdog, close
 		// sampling buckets, and poll for cancellation.
