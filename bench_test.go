@@ -12,8 +12,6 @@ package queuemachine
 import (
 	"fmt"
 	"io"
-	"os"
-	"strconv"
 	"testing"
 
 	"queuemachine/internal/amdahl"
@@ -162,27 +160,6 @@ func BenchmarkFig67(b *testing.B) {
 	}
 }
 
-// benchParams is the simulation configuration every gated benchmark runs
-// under. QSIM_HOSTPAR overrides the host engine (worker count, clamped to
-// the machine's partition count) without touching the benchmark table: the
-// CI cycle gate re-runs the whole suite under the parallel engine at
-// several worker counts against the same exact baselines, which is the
-// end-to-end bit-exactness check.
-func benchParams(pes int) sim.Params {
-	params := sim.DefaultParams()
-	if v := os.Getenv("QSIM_HOSTPAR"); v != "" {
-		w, err := strconv.Atoi(v)
-		if err != nil {
-			panic(fmt.Sprintf("QSIM_HOSTPAR=%q: %v", v, err))
-		}
-		if parts := params.PartitionCount(pes); w > parts {
-			w = parts
-		}
-		params.HostParallel = w
-	}
-	return params
-}
-
 // benchWorkload compiles a workload once and benchmarks the multiprocessor
 // simulation at each machine size, verifying the result every iteration and
 // reporting simulated cycles and the throughput ratio.
@@ -197,7 +174,7 @@ func benchWorkload(b *testing.B, wl workloads.Workload, peCounts []int) {
 		b.Run(fmt.Sprintf("pes-%d", pes), func(b *testing.B) {
 			var cycles int64
 			for i := 0; i < b.N; i++ {
-				res, err := sim.Run(art.Object, pes, benchParams(pes))
+				res, err := sim.Run(art.Object, pes, sim.DefaultParams())
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -255,7 +232,7 @@ func BenchmarkFig69(b *testing.B) {
 		b.Run(wl.Name, func(b *testing.B) {
 			var cycles int64
 			for i := 0; i < b.N; i++ {
-				res, err := sim.Run(art.Object, 4, benchParams(4))
+				res, err := sim.Run(art.Object, 4, sim.DefaultParams())
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -285,7 +262,7 @@ func benchHost(b *testing.B, wl workloads.Workload, peCounts []int) {
 			b.ReportAllocs()
 			var instrs int64
 			for i := 0; i < b.N; i++ {
-				res, err := sim.Run(art.Object, pes, benchParams(pes))
+				res, err := sim.Run(art.Object, pes, sim.DefaultParams())
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -325,83 +302,6 @@ func BenchmarkHostCongruence(b *testing.B) {
 	benchHost(b, workloads.Congruence(8), []int{8})
 }
 
-// hostParCounts is the worker sweep for the BenchmarkHostPar family:
-// sequential engine first as the within-benchmark baseline, then doubling
-// worker counts up to the ISSUE's eight-worker target.
-var hostParCounts = []int{0, 1, 2, 4, 8}
-
-// benchHostPar benchmarks the host-parallel engine against the sequential
-// one on a fixed machine size: same workload, same simulated statistics
-// (verified every iteration), only the host engine varies. Reported
-// simInstrs/s across the worker sweep is the engine's scaling curve on
-// this host; on a single-core host the curve is flat and the interesting
-// number is the lookahead overhead of workers-1 versus workers-0.
-func benchHostPar(b *testing.B, wl workloads.Workload, pes int, workerCounts []int) {
-	art, err := compile.Compile(wl.Source, compile.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	params := sim.DefaultParams()
-	var seqCycles int64
-	for _, w := range workerCounts {
-		w := w
-		if parts := params.PartitionCount(pes); w > parts {
-			continue
-		}
-		b.Run(fmt.Sprintf("workers-%d", w), func(b *testing.B) {
-			b.ReportAllocs()
-			p := params
-			p.HostParallel = w
-			var instrs int64
-			var cycles int64
-			for i := 0; i < b.N; i++ {
-				res, err := sim.Run(art.Object, pes, p)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if err := wl.Check(art, res.Data); err != nil {
-					b.Fatal(err)
-				}
-				instrs += res.Instructions
-				cycles = res.Cycles
-			}
-			if w == 0 {
-				seqCycles = cycles
-			} else if cycles != seqCycles && seqCycles != 0 {
-				b.Fatalf("parallel engine at %d workers simulated %d cycles, sequential %d",
-					w, cycles, seqCycles)
-			}
-			if secs := b.Elapsed().Seconds(); secs > 0 {
-				b.ReportMetric(float64(instrs)/secs, "simInstrs/s")
-			}
-		})
-	}
-}
-
-// BenchmarkHostParMatmul sweeps the host engine on the Figure 6.8 matrix
-// multiplication at 64 processing elements (32 ring partitions).
-func BenchmarkHostParMatmul(b *testing.B) {
-	benchHostPar(b, workloads.MatMul(8), 64, hostParCounts)
-}
-
-// BenchmarkHostParFFT sweeps the host engine on the Figure 6.10 FFT at 64
-// processing elements.
-func BenchmarkHostParFFT(b *testing.B) {
-	benchHostPar(b, workloads.FFT(6), 64, hostParCounts)
-}
-
-// BenchmarkHostParCholesky sweeps the host engine on the Figure 6.11
-// Cholesky decomposition at 64 processing elements.
-func BenchmarkHostParCholesky(b *testing.B) {
-	benchHostPar(b, workloads.Cholesky(8), 64, hostParCounts)
-}
-
-// BenchmarkHostParCongruence sweeps the host engine on the Figure 6.12
-// congruence transformation at 64 processing elements.
-func BenchmarkHostParCongruence(b *testing.B) {
-	benchHostPar(b, workloads.Congruence(8), 64, hostParCounts)
-}
-
 // BenchmarkTable66 measures each compiler optimization's effect on the
 // matrix multiplication benchmark at four processing elements.
 func BenchmarkTable66(b *testing.B) {
@@ -415,7 +315,7 @@ func BenchmarkTable66(b *testing.B) {
 		b.Run(cse.Name, func(b *testing.B) {
 			var cycles int64
 			for i := 0; i < b.N; i++ {
-				res, err := sim.Run(art.Object, 4, benchParams(4))
+				res, err := sim.Run(art.Object, 4, sim.DefaultParams())
 				if err != nil {
 					b.Fatal(err)
 				}

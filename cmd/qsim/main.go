@@ -14,10 +14,6 @@
 //	                                      attribute every cycle to a cause, print
 //	                                      the critical-path summary, and write a
 //	                                      pprof profile (load with go tool pprof)
-//	qsim -pes 64 -hostpar 4 prog.qobj     run the host-parallel engine on 4 worker
-//	                                      goroutines (results are bit-identical to
-//	                                      the sequential engine; -hostpar -1 picks
-//	                                      the worker count automatically)
 //
 // Exit status: 0 on success, 1 on error, 2 on usage, and 3 when the
 // simulated program deadlocks (the kernel's context snapshot goes to
@@ -51,12 +47,10 @@ func main() {
 		traceOut = flag.String("trace", "", "write a Chrome trace-event JSON file (load in chrome://tracing)")
 		timeline = flag.Int64("timeline", 0, "sample a machine time series every N cycles (0: off)")
 		profOut  = flag.String("profile", "", "write a pprof cycle-attribution profile (load with go tool pprof)")
-		hostPar  = flag.Int("hostpar", 0,
-			"host-parallel worker goroutines (0: sequential engine, -1: auto; results are bit-identical)")
 	)
 	flag.Parse()
 	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: qsim [-pes N] [-hostpar N] [-dump] [-json] [-trace out.json] [-timeline N] [-profile out.pb.gz] program.qobj")
+		fmt.Fprintln(os.Stderr, "usage: qsim [-pes N] [-dump] [-json] [-trace out.json] [-timeline N] [-profile out.pb.gz] program.qobj")
 		os.Exit(2)
 	}
 	blob, err := os.ReadFile(flag.Arg(0))
@@ -69,7 +63,6 @@ func main() {
 	}
 
 	params := sim.DefaultParams()
-	params.HostParallel = *hostPar
 	params.Scheduler = sched.Config{Policy: *schedName}
 	if !sched.Valid(*schedName) {
 		fmt.Fprintf(os.Stderr, "qsim: unknown scheduler %q (valid: %s)\n",
@@ -177,10 +170,6 @@ func main() {
 	fmt.Printf("avg queue length     %.2f words\n", res.AvgQueueLength())
 	fmt.Printf("host time            %.3fs (%.2f MIPS simulated)\n",
 		stats.HostSeconds, stats.HostMIPS)
-	if res.Host.Workers > 0 {
-		fmt.Printf("host parallel        %d workers (%d epochs, %d barriers, %d cross-shard messages)\n",
-			res.Host.Workers, res.Host.Epochs, res.Host.Barriers, res.Host.CrossMessages)
-	}
 	if series != nil {
 		printTimeline(series.Series())
 	}

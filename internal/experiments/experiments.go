@@ -53,7 +53,6 @@ func All() []Experiment {
 		{"fig6.12", "Congruence transformation: throughput ratio vs processors (+ Table 6.5)", Fig612},
 		{"table6.6", "Compiler optimization speed-up factors", Table66},
 		{"sched", "Scheduler policy sweep: Chapter 6 smoke grid across policies", SchedSweep},
-		{"hostpar", "Host-parallel engine scaling: Congruence at 64-256 PEs, workers 0-8", HostParScaling},
 		{"ablation-cache", "Ablation: message cache capacity vs speed-up", AblationCache},
 		{"ablation-bus", "Ablation: interconnect bandwidth vs speed-up", AblationBus},
 		{"ablation-window", "Ablation: register roll-out cost vs speed-up", AblationWindow},

@@ -125,11 +125,6 @@ func LoadProgram(obj *isa.Object) (*Program, error) {
 // QueueWords returns the queue page size required by graph gi.
 func (p *Program) QueueWords(gi int) int { return p.Obj.Graphs[gi].QueueWords }
 
-// Mnemonic reports the opcode mnemonic at (graph, pc); it is what ExecOne
-// passes to the Instr hook, exposed for callers that replay recorded
-// instructions into a recorder.
-func (p *Program) Mnemonic(graph, pc int) string { return p.graphs[graph][pc].info.Mnemonic }
-
 // Machine executes contexts on one processing element.
 type Machine struct {
 	PEID   int
@@ -260,21 +255,6 @@ func (m *Machine) ExecOne(c *Context, now int64) (Outcome, error) {
 		m.rec.Instr(m.PEID, c.ID, graph, pc, m.Prog.graphs[graph][pc].info.Mnemonic, now, out.Cycles, stall)
 	}
 	return out, err
-}
-
-// ExecRecorded executes one instruction without firing the Instr hook,
-// additionally returning the presence-bit stall (window misses × Params.Mem)
-// the hook would have reported. The host-parallel engine's workers run
-// ahead of simulated time on their own goroutines, where recorders (which
-// are not safe for concurrent use, and which need the issue time the worker
-// does not yet know) must stay silent; the commit loop replays the hook
-// from the recorded outcome at the exact simulated instant the sequential
-// engine would have fired it.
-func (m *Machine) ExecRecorded(c *Context) (Outcome, int, error) {
-	wm := m.Stats.WindowMisses
-	out, err := m.execOne(c)
-	stall := int(m.Stats.WindowMisses-wm) * m.Params.Mem
-	return out, stall, err
 }
 
 func (m *Machine) execOne(c *Context) (Outcome, error) {

@@ -61,14 +61,6 @@ type runRequest struct {
 	// present this field wins. Unknown names are rejected with 400 and the
 	// valid list.
 	Scheduler string `json:"scheduler,omitempty"`
-	// HostParallel selects the simulator's host-parallel engine and its
-	// worker-goroutine count (0 keeps the sequential engine, -1 picks the
-	// count automatically). A convenience over params.HostParallel; when
-	// non-zero this field wins. Results are bit-identical either way —
-	// the engine only changes host-side execution. Counts the machine
-	// cannot shard (more workers than ring partitions) are rejected with
-	// 400 before the run is admitted.
-	HostParallel int `json:"host_parallel,omitempty"`
 	// Params overlays fields onto the service's base sim.Params.
 	Params    json.RawMessage `json:"params,omitempty"`
 	TimeoutMS int64           `json:"timeout_ms,omitempty"`
@@ -447,15 +439,6 @@ func (s *Service) handleRun(w http.ResponseWriter, r *http.Request) {
 			params.Scheduler.Policy, strings.Join(sched.Names(), ", ")))
 		return
 	}
-	if req.HostParallel != 0 {
-		params.HostParallel = req.HostParallel
-	}
-	if _, err := params.HostWorkers(pes); err != nil {
-		// A worker count the machine cannot shard is the client's
-		// configuration mistake; reject before admitting the run.
-		s.error(rctx, w, badRequest("%v", err))
-		return
-	}
 	// The response only carries the data segment when the client asked
 	// for it, so skip the per-run O(DataWords) copy otherwise. Resolved
 	// before keying: KeepData changes the response body.
@@ -539,12 +522,6 @@ func (s *Service) handleRun(w http.ResponseWriter, r *http.Request) {
 			s.instrsServed.Add(res.Instructions)
 			s.simNanos.Add(int64(simTime))
 			s.recordSched(params.Scheduler.Name(), res.Kernel.Migrations, res.Kernel.Steals)
-			if res.Host.Workers > 0 {
-				s.hostparRuns.Add(1)
-				s.hostparEpochs.Add(res.Host.Epochs)
-				s.hostparBarriers.Add(res.Host.Barriers)
-				s.hostparCrossMsgs.Add(res.Host.CrossMessages)
-			}
 			resp.Stats = NewRunStats(res, req.DumpData)
 			resp.Stats.Scheduler = params.Scheduler.Name()
 			resp.Stats.SetHostTime(simTime)

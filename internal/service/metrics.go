@@ -98,18 +98,6 @@ func (s *Service) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	counter("qmd_sched_steals_total",
 		"Contexts re-homed by a work-stealing dispatch.",
 		"", st.SchedSteals)
-	counter("qmd_hostpar_runs_total",
-		"Successful runs executed by the host-parallel simulation engine.",
-		"", st.HostParRuns)
-	counter("qmd_hostpar_epochs_total",
-		"Host-parallel lookahead fill passes queued to worker goroutines.",
-		"", st.HostParEpochs)
-	counter("qmd_hostpar_barriers_total",
-		"Host-parallel fill passes the commit loop blocked on.",
-		"", st.HostParBarriers)
-	counter("qmd_hostpar_cross_messages_total",
-		"Simulated ring messages that crossed host worker shards.",
-		"", st.HostParCrossMessages)
 	counter("qmd_cache_hits_total", "Artifact cache hits.", "", st.Cache.Hits)
 	counter("qmd_cache_misses_total", "Artifact cache misses.", "", st.Cache.Misses)
 	counter("qmd_cache_evictions_total", "Artifact cache evictions.", "", st.Cache.Evictions)

@@ -61,7 +61,7 @@ type Config struct {
 	DefaultTimeout time.Duration
 	MaxTimeout     time.Duration
 	// MaxPEs caps the simulated machine size a request may ask for
-	// (default: 1024).
+	// (default: sim.MaxPEs).
 	MaxPEs int
 	// Sim is the base machine configuration; request params overlay it
 	// (default: sim.DefaultParams()).
@@ -123,7 +123,7 @@ func (c Config) withDefaults() Config {
 		c.MaxTimeout = 2 * time.Minute
 	}
 	if c.MaxPEs <= 0 {
-		c.MaxPEs = 1024
+		c.MaxPEs = sim.MaxPEs
 	}
 	if c.Sim == nil {
 		p := sim.DefaultParams()
@@ -175,12 +175,6 @@ type Service struct {
 	schedMu                      sync.Mutex
 	schedRuns                    map[string]int64
 	schedMigrations, schedSteals atomic.Int64
-
-	// Host-parallel engine totals across successful runs that used it:
-	// run count, lookahead fill passes, blocking barriers, and ring
-	// messages crossing worker shards.
-	hostparRuns, hostparEpochs        atomic.Int64
-	hostparBarriers, hostparCrossMsgs atomic.Int64
 }
 
 // New builds a service; it is ready to serve as soon as its Handler is

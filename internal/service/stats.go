@@ -48,16 +48,6 @@ type RunStats struct {
 	// host load.
 	HostSeconds float64 `json:"host_seconds,omitempty"`
 	HostMIPS    float64 `json:"host_mips,omitempty"`
-	// HostWorkers through HostCrossMessages report the host-parallel
-	// engine's own counters, present only when the run used it
-	// (host_parallel != 0): worker goroutines, lookahead fill passes,
-	// blocking barriers, and ring messages that crossed worker shards.
-	// Like HostSeconds they describe the simulator — the simulated
-	// statistics above are bit-identical at every worker count.
-	HostWorkers       int   `json:"host_workers,omitempty"`
-	HostEpochs        int64 `json:"host_epochs,omitempty"`
-	HostBarriers      int64 `json:"host_barriers,omitempty"`
-	HostCrossMessages int64 `json:"host_cross_messages,omitempty"`
 	// Data is the final static data segment, included only on request
 	// (it can dwarf the statistics).
 	Data []int32 `json:"data,omitempty"`
@@ -103,12 +93,6 @@ func NewRunStats(res *sim.Result, includeData bool) *RunStats {
 		RingWaitCycles:  res.Ring.WaitCycles,
 		MemReads:        res.MemReads,
 		MemWrites:       res.MemWrites,
-	}
-	if res.Host.Workers > 0 {
-		rs.HostWorkers = res.Host.Workers
-		rs.HostEpochs = res.Host.Epochs
-		rs.HostBarriers = res.Host.Barriers
-		rs.HostCrossMessages = res.Host.CrossMessages
 	}
 	if includeData {
 		rs.Data = res.Data
@@ -164,14 +148,6 @@ type ServiceStats struct {
 	SchedRuns       map[string]int64 `json:"sched_runs,omitempty"`
 	SchedMigrations int64            `json:"sched_migrations"`
 	SchedSteals     int64            `json:"sched_steals"`
-	// HostParRuns through HostParCrossMessages total the host-parallel
-	// engine's counters across successful runs that used it: run count,
-	// lookahead fill passes, blocking barriers, and ring messages that
-	// crossed worker shards.
-	HostParRuns          int64 `json:"hostpar_runs"`
-	HostParEpochs        int64 `json:"hostpar_epochs"`
-	HostParBarriers      int64 `json:"hostpar_barriers"`
-	HostParCrossMessages int64 `json:"hostpar_cross_messages"`
 	// SLOs reports each declared objective's burn state, present only when
 	// the service was configured with objectives.
 	SLOs []xtrace.SLOStatus `json:"slos,omitempty"`
@@ -199,36 +175,32 @@ func (s *Service) Stats() ServiceStats {
 		mips = float64(instrs) / simSecs / 1e6
 	}
 	return ServiceStats{
-		UptimeSeconds:        time.Since(s.start).Seconds(),
-		Draining:             s.draining.Load(),
-		Compiles:             s.compiles.Load(),
-		Runs:                 s.runs.Load(),
-		Rejected:             s.rejected.Load(),
-		Errors:               s.fails.Load(),
-		Workers:              s.cfg.Workers,
-		InFlight:             s.pool.inFlight.Load(),
-		Queued:               s.pool.queued(),
-		QueueCapacity:        s.pool.capacity(),
-		CyclesServed:         s.cyclesServed.Load(),
-		InstructionsServed:   instrs,
-		SimSeconds:           simSecs,
-		HostMIPS:             mips,
-		Cache:                s.cache.stats(),
-		CoalescedCompiles:    s.coalescedCompiles.Load(),
-		CoalescedRuns:        s.coalescedRuns.Load(),
-		FlightsInFlight:      s.flights.inFlight(),
-		Disk:                 s.diskSnapshot(),
-		Peer:                 s.peerSnapshot(),
-		CycleCauses:          s.causeSnapshot(),
-		SchedRuns:            s.schedSnapshot(),
-		SchedMigrations:      s.schedMigrations.Load(),
-		SchedSteals:          s.schedSteals.Load(),
-		HostParRuns:          s.hostparRuns.Load(),
-		HostParEpochs:        s.hostparEpochs.Load(),
-		HostParBarriers:      s.hostparBarriers.Load(),
-		HostParCrossMessages: s.hostparCrossMsgs.Load(),
-		SLOs:                 s.slo.Snapshot(),
-		Traces:               s.traces.Stats(),
+		UptimeSeconds:      time.Since(s.start).Seconds(),
+		Draining:           s.draining.Load(),
+		Compiles:           s.compiles.Load(),
+		Runs:               s.runs.Load(),
+		Rejected:           s.rejected.Load(),
+		Errors:             s.fails.Load(),
+		Workers:            s.cfg.Workers,
+		InFlight:           s.pool.inFlight.Load(),
+		Queued:             s.pool.queued(),
+		QueueCapacity:      s.pool.capacity(),
+		CyclesServed:       s.cyclesServed.Load(),
+		InstructionsServed: instrs,
+		SimSeconds:         simSecs,
+		HostMIPS:           mips,
+		Cache:              s.cache.stats(),
+		CoalescedCompiles:  s.coalescedCompiles.Load(),
+		CoalescedRuns:      s.coalescedRuns.Load(),
+		FlightsInFlight:    s.flights.inFlight(),
+		Disk:               s.diskSnapshot(),
+		Peer:               s.peerSnapshot(),
+		CycleCauses:        s.causeSnapshot(),
+		SchedRuns:          s.schedSnapshot(),
+		SchedMigrations:    s.schedMigrations.Load(),
+		SchedSteals:        s.schedSteals.Load(),
+		SLOs:               s.slo.Snapshot(),
+		Traces:             s.traces.Stats(),
 	}
 }
 

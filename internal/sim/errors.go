@@ -29,7 +29,7 @@ func (e *DeadlockError) Error() string {
 // surface configuration over a wire (qmd) use errors.As on this type to
 // answer with a client error rather than a simulation failure.
 type ConfigError struct {
-	// Field names the offending configuration knob ("HostParallel", "pes").
+	// Field names the offending configuration knob ("pes").
 	Field string
 	// Reason explains the rejection in one sentence.
 	Reason string

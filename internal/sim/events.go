@@ -174,38 +174,12 @@ func (q *eventQueue) pop() event {
 	return e
 }
 
-// peek returns the minimum event without removing it. The pointer is valid
-// until the next push or pop.
-func (q *eventQueue) peek() *event {
-	if b := q.scan(int(q.base)); b >= 0 {
-		return &q.slab[q.head[b]].ev
-	}
-	return &q.far.a[0]
-}
-
 // peekTime reports the earliest scheduled time without popping, or
 // horizonInf when the queue is empty. This is the next-event horizon the
 // step-batching loop runs against.
 func (q *eventQueue) peekTime() int64 {
 	if b := q.scan(int(q.base)); b >= 0 {
 		return q.slab[q.head[b]].ev.time
-	}
-	return q.far.peekTime()
-}
-
-// secondTime reports the earliest scheduled time excluding the minimum
-// event: the batching horizon the minimum's handler will observe once it
-// is popped.
-func (q *eventQueue) secondTime() int64 {
-	b := q.scan(int(q.base))
-	if b < 0 {
-		return q.far.secondTime()
-	}
-	if h := &q.slab[q.head[b]]; h.next != 0 {
-		return h.ev.time
-	}
-	if c := q.scan(b + 1); c != b {
-		return q.slab[q.head[c]].ev.time
 	}
 	return q.far.peekTime()
 }
@@ -251,23 +225,6 @@ func (h *eventHeap) peekTime() int64 {
 		return horizonInf
 	}
 	return h.a[0].time
-}
-
-// secondTime reports the earliest time excluding the root. In the 4-ary
-// layout every non-root event is dominated by one of the root's at most
-// four children, so a scan of slots 1..4 suffices.
-func (h *eventHeap) secondTime() int64 {
-	n := len(h.a)
-	if n < 2 {
-		return horizonInf
-	}
-	best := h.a[1].time
-	for c := 2; c < n && c < 5; c++ {
-		if h.a[c].time < best {
-			best = h.a[c].time
-		}
-	}
-	return best
 }
 
 // less orders events by (time, seq); seq breaks ties in schedule order,

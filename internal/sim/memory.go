@@ -16,37 +16,12 @@ type replicatedMemory struct {
 	words      []int32
 	storeExtra int64
 	// reads and writes count data-memory traffic for the statistics
-	// tables, sharded per processing element: under the host-parallel
-	// engine several worker goroutines execute memory instructions
-	// concurrently, so a shared counter would be a data race. Reads() and
-	// Writes() sum the shards.
-	reads, writes []int64
+	// tables.
+	reads, writes int64
 }
 
-func newReplicatedMemory(words, numPEs int, storeExtra int64) *replicatedMemory {
-	return &replicatedMemory{
-		words:      make([]int32, words),
-		storeExtra: storeExtra,
-		reads:      make([]int64, numPEs),
-		writes:     make([]int64, numPEs),
-	}
-}
-
-// Reads and Writes total the per-element data-memory traffic counters.
-func (m *replicatedMemory) Reads() int64 {
-	var n int64
-	for _, v := range m.reads {
-		n += v
-	}
-	return n
-}
-
-func (m *replicatedMemory) Writes() int64 {
-	var n int64
-	for _, v := range m.writes {
-		n += v
-	}
-	return n
+func newReplicatedMemory(words int, storeExtra int64) *replicatedMemory {
+	return &replicatedMemory{words: make([]int32, words), storeExtra: storeExtra}
 }
 
 func (m *replicatedMemory) load(obj *isa.Object) {
@@ -76,7 +51,7 @@ func (m *replicatedMemory) FetchWord(peID int, byteAddr int32) (int32, int, erro
 	if err != nil {
 		return 0, 0, err
 	}
-	m.reads[peID]++
+	m.reads++
 	return m.words[idx], 0, nil
 }
 
@@ -85,7 +60,7 @@ func (m *replicatedMemory) StoreWord(peID int, byteAddr, val int32) (int, error)
 	if err != nil {
 		return 0, err
 	}
-	m.writes[peID]++
+	m.writes++
 	m.words[idx] = val
 	return int(m.storeExtra), nil
 }
@@ -95,7 +70,7 @@ func (m *replicatedMemory) FetchByte(peID int, byteAddr int32) (int32, int, erro
 	if err != nil {
 		return 0, 0, err
 	}
-	m.reads[peID]++
+	m.reads++
 	shift := uint(byteAddr%isa.WordSize) * 8
 	return int32(uint32(m.words[idx]) >> shift & 0xff), 0, nil
 }
@@ -105,7 +80,7 @@ func (m *replicatedMemory) StoreByte(peID int, byteAddr, val int32) (int, error)
 	if err != nil {
 		return 0, err
 	}
-	m.writes[peID]++
+	m.writes++
 	shift := uint(byteAddr%isa.WordSize) * 8
 	mask := uint32(0xff) << shift
 	m.words[idx] = int32(uint32(m.words[idx])&^mask | uint32(val&0xff)<<shift)

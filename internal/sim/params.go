@@ -7,9 +7,6 @@
 package sim
 
 import (
-	"fmt"
-	"runtime"
-
 	"queuemachine/internal/pe"
 	"queuemachine/internal/ring"
 	"queuemachine/internal/sched"
@@ -64,15 +61,6 @@ type Params struct {
 	// oracle for the batching equivalence property test and as a
 	// diagnostic escape hatch; it is never faster.
 	NoBatch bool
-	// HostParallel selects the host-parallel execution engine and its
-	// worker-goroutine count. 0 (the default) keeps the sequential engine
-	// unchanged; a positive count shards the processing elements across
-	// that many workers along ring-partition boundaries (a ConfigError if
-	// the count exceeds the partition count); a negative value selects
-	// min(partitions, GOMAXPROCS) automatically. Simulated results are
-	// bit-identical to the sequential engine at every worker count — the
-	// sequential engine is the differential oracle, exactly like NoBatch.
-	HostParallel int
 }
 
 // DefaultParams is the configuration used for all Chapter 6 experiments.
@@ -93,10 +81,11 @@ func DefaultParams() Params {
 }
 
 // MaxPEs bounds the simulated machine size. The Chapter 6 experiments stop
-// at 8 processing elements; the host-parallel engine makes 64–256-element
-// scaling sweeps affordable, and the cap leaves generous headroom beyond
-// them while still rejecting nonsense sizes with a structured error before
-// any per-element allocation happens.
+// at 8 processing elements and the scheduler sweeps at 64; the cap leaves
+// generous headroom beyond them while rejecting nonsense sizes with a
+// structured error before any per-element allocation happens. It is the
+// single definition of the bound: qmd's default request limit is this
+// constant too.
 const MaxPEs = 1024
 
 // defaultPartitions picks the Figure 5.18 layout: two processing elements
@@ -113,36 +102,4 @@ func defaultPartitions(numPEs int) int {
 		}
 	}
 	return 1
-}
-
-// PartitionCount reports the ring partition count a machine of numPEs
-// elements runs with under p: the explicit Partitions value, or the Figure
-// 5.18 default when it is zero. It is the upper bound on HostParallel
-// worker counts.
-func (p Params) PartitionCount(numPEs int) int {
-	if p.Partitions != 0 {
-		return p.Partitions
-	}
-	return defaultPartitions(numPEs)
-}
-
-// HostWorkers resolves the effective host-parallel worker count for a
-// machine of numPEs elements: 0 keeps the sequential engine; a negative
-// value selects min(partitions, GOMAXPROCS); a positive value is validated
-// against the partition count (a worker owns whole ring partitions, so
-// workers beyond the partition count could never receive a shard).
-func (p Params) HostWorkers(numPEs int) (int, error) {
-	if p.HostParallel == 0 {
-		return 0, nil
-	}
-	parts := p.PartitionCount(numPEs)
-	if p.HostParallel < 0 {
-		return min(parts, runtime.GOMAXPROCS(0)), nil
-	}
-	if p.HostParallel > parts {
-		return 0, &ConfigError{Field: "HostParallel", Reason: fmt.Sprintf(
-			"%d workers exceed the %d ring partitions of a %d-element machine (workers own whole partitions)",
-			p.HostParallel, parts, numPEs)}
-	}
-	return p.HostParallel, nil
 }

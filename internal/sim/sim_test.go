@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -128,7 +129,7 @@ func TestFanOutCorrectAcrossPEs(t *testing.T) {
 	const workers, n = 4, 50
 	want := int32(workers * n * (n + 1) / 2)
 	var base int64
-	for _, pes := range []int{1, 2, 4, 8} {
+	for _, pes := range []int{1, 2, 4, 8, 256} {
 		res := run(t, fanOut(workers, n), pes)
 		if got := res.Data[0]; got != want {
 			t.Errorf("%d PEs: result = %d, want %d", pes, got, want)
@@ -239,36 +240,47 @@ func TestIFork(t *testing.T) {
 	}
 }
 
+// TestRunErrors: malformed programs and machine sizes are rejected, an
+// oversized machine with a ConfigError naming the pes field.
 func TestRunErrors(t *testing.T) {
-	if _, err := Run(assemble(t, singleContext), 0, DefaultParams()); err == nil {
-		t.Error("zero PEs accepted")
-	}
-	// Unknown kernel entry point.
-	bad := `
+	cases := []struct {
+		name   string
+		src    string
+		pes    int
+		config bool // the error must be a ConfigError on "pes"
+	}{
+		{name: "zero-pes", src: singleContext, pes: 0},
+		{name: "machine-size-cap", src: singleContext, pes: MaxPEs + 1, config: true},
+		// Unknown kernel entry point.
+		{name: "unknown-trap", pes: 1, src: `
 .graph main queue=32
 	trap #9,#0
 	trap #0,#0
-`
-	if _, err := Run(assemble(t, bad), 1, DefaultParams()); err == nil {
-		t.Error("unknown trap accepted")
-	}
-	// Fork of an out-of-range graph.
-	badFork := `
+`},
+		// Fork of an out-of-range graph.
+		{name: "wild-fork", pes: 1, src: `
 .graph main queue=32
 	trap #1,#7 :r17,r18
 	trap #0,#0
-`
-	if _, err := Run(assemble(t, badFork), 1, DefaultParams()); err == nil {
-		t.Error("wild fork accepted")
-	}
-	// Invalid channel.
-	badChan := `
+`},
+		// Invalid channel.
+		{name: "channel-0", pes: 1, src: `
 .graph main queue=32
 	send #0,#1
 	trap #0,#0
-`
-	if _, err := Run(assemble(t, badChan), 1, DefaultParams()); err == nil {
-		t.Error("channel 0 accepted")
+`},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := Run(assemble(t, tc.src), tc.pes, DefaultParams())
+			if err == nil {
+				t.Fatal("accepted")
+			}
+			var ce *ConfigError
+			if tc.config && (!errors.As(err, &ce) || ce.Field != "pes") {
+				t.Fatalf("want ConfigError on pes, got %v", err)
+			}
+		})
 	}
 }
 

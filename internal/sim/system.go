@@ -26,12 +26,6 @@ type Result struct {
 	// window roll-out; RolledRegisters totals the registers rolled out.
 	Switches, Resumes, RolledRegisters int64
 	MemReads, MemWrites                int64
-	// Host reports the host-parallel engine's own execution counters; the
-	// zero value (Workers == 0) means the run used the sequential engine.
-	// Unlike every other field it describes the simulator, not the
-	// simulated machine — simulated statistics are bit-identical across
-	// engines and worker counts.
-	Host HostStats
 	// Data is the final contents of the static data segment, for result
 	// verification. It is populated only when Params.KeepData is set (the
 	// default): servers that never read the data segment skip the copy.
@@ -101,10 +95,6 @@ type System struct {
 	endTime                       int64
 	finished                      bool
 	err                           error
-
-	// par is the host-parallel execution engine; nil (Params.HostParallel
-	// == 0) runs the sequential event loop unchanged.
-	par *parEngine
 }
 
 // New builds a simulation of the object program on numPEs processing
@@ -117,19 +107,14 @@ func New(obj *isa.Object, numPEs int, params Params) (*System, error) {
 		return nil, &ConfigError{Field: "pes", Reason: fmt.Sprintf(
 			"%d processing elements exceed the supported maximum of %d", numPEs, MaxPEs)}
 	}
-	hostWorkers, err := params.HostWorkers(numPEs)
-	if err != nil {
-		return nil, err
-	}
-	if hostWorkers > 0 && (params.PE.ALU < 1 || params.PE.Branch < 1) {
-		return nil, &ConfigError{Field: "HostParallel", Reason: "requires PE.ALU and PE.Branch costs of at least one cycle " +
-			"(zero-cost instructions would starve the lookahead window)"}
-	}
 	prog, err := pe.LoadProgram(obj)
 	if err != nil {
 		return nil, err
 	}
-	partitions := params.PartitionCount(numPEs)
+	partitions := params.Partitions
+	if partitions == 0 {
+		partitions = defaultPartitions(numPEs)
+	}
 	bus, err := ring.New(numPEs, partitions, params.Ring)
 	if err != nil {
 		return nil, err
@@ -147,7 +132,7 @@ func New(obj *isa.Object, numPEs int, params Params) (*System, error) {
 		caches:   make([]*mcache.Cache, numPEs),
 		mpFree:   make([]int64, numPEs),
 		machines: make([]*pe.Machine, numPEs),
-		mem:      newReplicatedMemory(obj.DataWords, numPEs, params.StoreBroadcast),
+		mem:      newReplicatedMemory(obj.DataWords, params.StoreBroadcast),
 		running:  make([]*pe.Context, numPEs),
 		lastCtx:  make([]*pe.Context, numPEs),
 	}
@@ -155,9 +140,6 @@ func New(obj *isa.Object, numPEs int, params Params) (*System, error) {
 	for i := 0; i < numPEs; i++ {
 		s.caches[i] = mcache.New(params.MsgCacheEntries)
 		s.machines[i] = pe.NewMachine(i, params.PE, prog, s.mem)
-	}
-	if hostWorkers > 0 {
-		s.par = newParEngine(s, hostWorkers)
 	}
 	return s, nil
 }
@@ -228,11 +210,7 @@ func (s *System) RunContext(ctx context.Context) (*Result, error) {
 	}
 	s.runCtx = ctx
 	s.instrsToPoll = ctxPollInstrs
-	if s.par != nil {
-		s.par.run()
-	} else {
-		s.runLoop()
-	}
+	s.runLoop()
 	if s.err != nil {
 		return nil, s.err
 	}
@@ -257,11 +235,8 @@ func (s *System) RunContext(ctx context.Context) (*Result, error) {
 		Switches:        s.switches,
 		Resumes:         s.resumes,
 		RolledRegisters: s.rolledRegs,
-		MemReads:        s.mem.Reads(),
-		MemWrites:       s.mem.Writes(),
-	}
-	if s.par != nil {
-		res.Host = s.par.stats
+		MemReads:        s.mem.reads,
+		MemWrites:       s.mem.writes,
 	}
 	if s.p.KeepData {
 		res.Data = append([]int32(nil), s.mem.words...)
@@ -355,21 +330,10 @@ func (s *System) emitSample(at int64) {
 		if s.running[p] != nil {
 			ms.RunningPEs++
 		}
-		if s.par != nil {
-			// Worker goroutines run machines ahead of simulated time, so
-			// their Stats are unreadable here (racy, and past the sample
-			// boundary); the commit loop maintains a per-element mirror
-			// advanced exactly as instructions are committed.
-			mm := &s.par.mirror[p]
-			ms.BusyCycles += mm.cycles
-			ms.Instructions += mm.instrs
-			ms.QueueSum += mm.qsum
-		} else {
-			st := &s.machines[p].Stats
-			ms.BusyCycles += st.Cycles
-			ms.Instructions += st.Instructions
-			ms.QueueSum += st.QueueSum
-		}
+		st := &s.machines[p].Stats
+		ms.BusyCycles += st.Cycles
+		ms.Instructions += st.Instructions
+		ms.QueueSum += st.QueueSum
 		ms.CacheHits += s.caches[p].Stats.Hits
 		ms.CacheMisses += s.caches[p].Stats.Misses
 	}
@@ -421,7 +385,6 @@ func (s *System) dispatch(peID int) {
 			n := c.RollOut()
 			cost += int64(s.p.PE.RollOut) * int64(n)
 			s.rolledRegs += int64(n)
-			s.countCross(from, peID)
 			cost += s.bus.Transfer(s.now, from, peID) - s.now
 			if s.lastCtx[from] == c {
 				// The victim no longer holds the context's registers; a
@@ -436,24 +399,6 @@ func (s *System) dispatch(peID int) {
 		s.rec.BeginRun(peID, c.ID, s.now+cost, cost, resumed)
 	}
 	s.schedule(s.now+cost, event{kind: evStep, pe: int32(peID), ctx: int32(c.ID)})
-	s.armPar(peID, c)
-}
-
-// armPar hands the freshly dispatched (or resumed) context to the
-// host-parallel engine so a worker can pre-execute its lookahead window;
-// a no-op under the sequential engine.
-func (s *System) armPar(peID int, c *pe.Context) {
-	if s.par != nil {
-		s.par.arm(peID, c)
-	}
-}
-
-// countCross accounts a ring transfer that crosses a worker-shard boundary
-// under the host-parallel engine; a no-op under the sequential engine.
-func (s *System) countCross(from, to int) {
-	if s.par != nil && s.par.owner[from] != s.par.owner[to] {
-		s.par.stats.CrossMessages++
-	}
 }
 
 // handleStep executes the running context's next instruction — and, when
@@ -554,7 +499,6 @@ func (s *System) routeChanOp(t int64, fromPE int, op chanOp, ch, val int32, ctxI
 	home := int(ch) % s.numPEs
 	arrive := t
 	if home != fromPE {
-		s.countCross(fromPE, home)
 		arrive = s.bus.Transfer(t, fromPE, home)
 	}
 	s.schedule(arrive, event{kind: evChanReq, pe: int32(home), op: op, ch: ch, val: val, ctx: int32(ctxID), src: int32(fromPE)})
@@ -602,13 +546,11 @@ func (s *System) handleChanReq(e event) {
 	// sender, over the ring when remote.
 	rArrive := finish
 	if done.Receiver.PE != home {
-		s.countCross(home, done.Receiver.PE)
 		rArrive = s.bus.Transfer(finish, home, done.Receiver.PE)
 	}
 	s.schedule(rArrive, event{kind: evRecvDone, pe: int32(done.Receiver.PE), ctx: int32(done.Receiver.Ctx), val: done.Value})
 	sArrive := finish
 	if done.Sender.PE != home {
-		s.countCross(home, done.Sender.PE)
 		sArrive = s.bus.Transfer(finish, home, done.Sender.PE)
 	}
 	s.schedule(sArrive, event{kind: evSendDone, pe: int32(done.Sender.PE), ctx: int32(done.Sender.Ctx)})
@@ -710,7 +652,6 @@ func (s *System) handleTrap(peID int, c *pe.Context, code, arg int32, t int64) {
 		child.SetChannels(cin, cout)
 		done := t + s.p.ForkCycles
 		s.schedule(done, event{kind: evStep, pe: int32(peID), ctx: int32(c.ID)})
-		s.armPar(peID, c)
 		s.scheduleKick(target, done)
 
 	case isa.KChanNew:
@@ -720,7 +661,6 @@ func (s *System) handleTrap(peID int, c *pe.Context, code, arg int32, t int64) {
 			return
 		}
 		s.schedule(t, event{kind: evStep, pe: int32(peID), ctx: int32(c.ID)})
-		s.armPar(peID, c)
 
 	case isa.KNow:
 		if err := s.machines[peID].Complete(c, int32(t)); err != nil {
@@ -728,7 +668,6 @@ func (s *System) handleTrap(peID int, c *pe.Context, code, arg int32, t int64) {
 			return
 		}
 		s.schedule(t, event{kind: evStep, pe: int32(peID), ctx: int32(c.ID)})
-		s.armPar(peID, c)
 
 	case isa.KWait:
 		c.Status = pe.BlockedWait
