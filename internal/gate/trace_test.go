@@ -41,6 +41,24 @@ func tracedPost(t *testing.T, url string, id xtrace.TraceID, body []byte) (*http
 	return resp, raw, wall
 }
 
+// committedTrace reads a trace from rec once its root span is in. A
+// process commits its root span when its handler returns, which can be
+// just after the client has read the whole response, so it reads until
+// the root is there or a deadline passes, then returns what it has.
+func committedTrace(rec *xtrace.Recorder, id xtrace.TraceID, root string) ([]xtrace.Span, bool) {
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+		spans, ok := rec.Get(id)
+		for _, s := range spans {
+			if s.Name == root {
+				return spans, ok
+			}
+		}
+		if time.Now().After(deadline) {
+			return spans, ok
+		}
+	}
+}
+
 // TestFailoverRecordsTwoAttemptSpans: when the owning replica is dead
 // the gate fails over mid-request, and the trace shows both routing
 // decisions — the failed attempt with its transport error and the
@@ -85,7 +103,7 @@ func TestFailoverRecordsTwoAttemptSpans(t *testing.T) {
 		t.Fatalf("failover run: status %d: %s", resp.StatusCode, raw)
 	}
 
-	spans, ok := g.traces.Get(id)
+	spans, ok := committedTrace(g.traces, id, "proxy")
 	if !ok {
 		t.Fatal("failover request's trace not in the gate recorder")
 	}

@@ -42,10 +42,28 @@ type Kernel struct {
 	contexts []*pe.Context // indexed by context id; nil once exited
 	home     []int32       // indexed by context id
 	resident []int         // per-PE count of live contexts
-	freeCtx  []*pe.Context
+	pools    []ctxPool     // exited contexts for reuse, one pool per page size
 	live     int
 	rec      trace.Recorder
 	Stats    Stats
+}
+
+// ctxPool holds exited contexts with queue pages of one size.
+type ctxPool struct {
+	words int
+	free  []*pe.Context
+}
+
+// pool returns the pool for contexts with pages of the given size. A
+// program has a handful of page sizes, so a scan beats a map.
+func (k *Kernel) pool(words int) *ctxPool {
+	for i := range k.pools {
+		if k.pools[i].words == words {
+			return &k.pools[i]
+		}
+	}
+	k.pools = append(k.pools, ctxPool{words: words})
+	return &k.pools[len(k.pools)-1]
 }
 
 // SetRecorder installs the instrumentation recorder (nil disables). The
@@ -80,6 +98,9 @@ func (k *Kernel) AllocChannel() int32 {
 	return ch
 }
 
+// Allocated reports whether AllocChannel has returned ch.
+func (k *Kernel) Allocated(ch int32) bool { return ch > 0 && ch < k.nextChan }
+
 // CreateContext allocates a context for the given graph, assigns it to a
 // processing element chosen by the scheduling policy, marks it ready, and
 // returns it with its hosting PE. prio is the context's static dispatch
@@ -90,10 +111,11 @@ func (k *Kernel) CreateContext(graph, pageWords, parentID, parentPE int, prio in
 	id := k.nextCtx
 	k.nextCtx++
 	var c *pe.Context
-	if n := len(k.freeCtx); n > 0 && len(k.freeCtx[n-1].Page) == pageWords {
-		c = k.freeCtx[n-1]
-		k.freeCtx[n-1] = nil
-		k.freeCtx = k.freeCtx[:n-1]
+	if p := k.pool(pageWords); len(p.free) > 0 {
+		n := len(p.free)
+		c = p.free[n-1]
+		p.free[n-1] = nil
+		p.free = p.free[:n-1]
 		c.Reset(id, graph)
 	} else {
 		c = pe.NewContext(id, graph, pageWords)
@@ -196,7 +218,8 @@ func (k *Kernel) Exit(id int, at int64) error {
 	k.live--
 	k.Stats.ContextsFinished++
 	k.contexts[id] = nil
-	k.freeCtx = append(k.freeCtx, c)
+	pool := k.pool(len(c.Page))
+	pool.free = append(pool.free, c)
 	if k.rec != nil {
 		k.rec.ContextExited(id, p, at)
 	}

@@ -62,9 +62,10 @@ type entry struct {
 	receivers []ContextRef  // FIFO of blocked receivers
 	cellValue int32         // fetch-and-φ storage
 	isCell    bool
-	resident  bool   // true while cached; false once spilled to backing memory
-	prev      *entry // recency-list links while resident
-	next      *entry
+	resident  bool // true while cached; false once spilled to backing memory
+	// Recency-list links while resident, the free-list link while free:
+	// indices into the entry slab, -1 at the ends.
+	prev, next int32
 }
 
 func (e *entry) state() State {
@@ -91,12 +92,23 @@ type Stats struct {
 	Rendezvous int64 // completed send/receive pairs
 }
 
+// recency is one intrusive recency list: the slab indices of its least
+// and most recently used entries, -1 when the list is empty.
+type recency struct{ head, tail int32 }
+
 // Cache is one message processor's channel cache.
 //
-// One map covers both cached and spilled entries — an eviction to backing
-// memory and the later reload are flag flips, not map writes — and entries
-// dropped in the empty state are recycled through a free list, so
-// steady-state channel traffic allocates nothing.
+// Channel identifiers are dense — the kernel allocates them counting up
+// from 1 — so a table indexed by channel id maps each channel to its
+// entry, and lookup is two array loads. A cache built with NewStrided
+// serves only the channels homed on it, ids congruent modulo the stride,
+// and indexes the table by id divided by the stride; the table grows to
+// the largest id seen. Entries live in one slab: resident ones, and
+// occupied ones spilled to backing memory. An eviction and the later
+// reload are flag flips; an entry dropped in the empty state leaves the
+// table and goes on a free list, waiter queues and all, so steady-state
+// channel traffic allocates nothing and the slab stays the size of the
+// cache plus its spilled entries.
 //
 // The victim on overflow is the least recently used empty entry, else the
 // least recently used occupied one. Resident entries are kept on two
@@ -107,94 +119,152 @@ type Stats struct {
 // and the victim is a list head: O(1) where a scan was O(capacity).
 type Cache struct {
 	capacity int
-	resident int              // entries held, at most capacity
-	byChan   map[int32]*entry // every known channel, resident or spilled
-	free     []*entry         // empty entries recycled after eviction
-	// Sentinels of the circular recency lists, least recent first:
-	// resident entries in the empty state, and all other resident ones.
-	empties, occupied entry
+	resident int   // entries held, at most capacity
+	stride   int32 // channel ch maps to table[ch/stride]
+	// table holds 1 + the slab index of each channel's entry, 0 for a
+	// channel without one.
+	table []int32
+	slab  []entry
+	free  int32 // first free slab entry, -1 when none
+	// Resident entries in the empty state, and all other resident ones.
+	empties, occupied recency
 	done              Completion
 	Stats             Stats
 }
 
 // New builds a cache with the given number of entries (at least one).
-func New(capacity int) *Cache {
+// Channel identifiers are non-negative and, since the cache indexes a
+// table by them, should be dense.
+func New(capacity int) *Cache { return NewStrided(capacity, 1) }
+
+// NewStrided builds a cache with the given number of entries for a message
+// processor that is home to every stride-th channel: all the channels it
+// sees are congruent modulo stride, as in a machine of stride processing
+// elements that homes channel ch on element ch mod stride.
+func NewStrided(capacity, stride int) *Cache {
 	if capacity < 1 {
 		capacity = 1
 	}
-	c := &Cache{
+	return &Cache{
 		capacity: capacity,
-		byChan:   make(map[int32]*entry, capacity),
+		stride:   int32(max(stride, 1)),
+		free:     -1,
+		empties:  recency{-1, -1},
+		occupied: recency{-1, -1},
 	}
-	c.empties.prev, c.empties.next = &c.empties, &c.empties
-	c.occupied.prev, c.occupied.next = &c.occupied, &c.occupied
-	return c
+}
+
+// find returns the slab index of a channel's entry, or -1 when it has
+// none.
+func (c *Cache) find(ch int32) int32 {
+	if t := ch / c.stride; ch >= 0 && int(t) < len(c.table) {
+		return c.table[t] - 1
+	}
+	return -1
 }
 
 // lookup finds or creates the entry for a channel, charging a miss when it
 // must be reloaded from (or first created in) backing memory, and evicting
-// on overflow. It reports whether the access missed the cache. The caller
-// re-files the entry once its operation has set the entry's new state.
-func (c *Cache) lookup(ch int32) (*entry, bool) {
-	e, known := c.byChan[ch]
-	if known && e.resident {
+// on overflow. It reports the entry's slab index and whether the access
+// missed the cache. A hit takes the entry off its recency list: the caller
+// re-files it once its operation has set the entry's new state.
+func (c *Cache) lookup(ch int32) (int32, bool, error) {
+	if ch < 0 {
+		return 0, false, fmt.Errorf("mcache: invalid channel %d", ch)
+	}
+	t := ch / c.stride
+	if int(t) >= len(c.table) {
+		n := max(int(t)+1, 2*len(c.table), 16)
+		c.table = append(c.table, make([]int32, n-len(c.table))...)
+	}
+	i := c.table[t] - 1
+	if i >= 0 && c.slab[i].resident {
 		c.Stats.Hits++
-		return e, false
+		c.unlink(c.list(&c.slab[i]), i)
+		return i, false, nil
 	}
 	c.Stats.Misses++
-	if !known {
-		if n := len(c.free); n > 0 {
-			e = c.free[n-1]
-			c.free = c.free[:n-1]
-			e.channel = ch
+	if i < 0 {
+		if i = c.free; i >= 0 {
+			c.free = c.slab[i].next
 		} else {
-			e = &entry{channel: ch}
+			if c.slab == nil {
+				// Most caches serve a few dozen channels at most;
+				// starting at 16 entries spares the first doublings.
+				c.slab = make([]entry, 0, min(c.capacity, 16))
+			}
+			i = int32(len(c.slab))
+			c.slab = append(c.slab, entry{})
 		}
-		c.byChan[ch] = e
+		c.slab[i].channel = ch
+		c.table[t] = i + 1
 	}
 	if c.resident >= c.capacity {
 		c.evictOne()
 	}
-	e.resident = true
+	c.slab[i].resident = true
 	c.resident++
-	return e, true
+	return i, true, nil
 }
 
-// file moves a resident entry to the most-recent end of the recency list
-// for its current state.
-func (c *Cache) file(e *entry) {
-	if e.next != nil {
-		e.prev.next, e.next.prev = e.next, e.prev
-	}
-	head := &c.occupied
+// list returns the recency list for a resident entry's state.
+func (c *Cache) list(e *entry) *recency {
 	if e.state() == Empty {
-		head = &c.empties
+		return &c.empties
 	}
-	e.prev, e.next = head.prev, head
-	head.prev.next = e
-	head.prev = e
+	return &c.occupied
+}
+
+func (c *Cache) unlink(l *recency, i int32) {
+	e := &c.slab[i]
+	if e.prev >= 0 {
+		c.slab[e.prev].next = e.next
+	} else {
+		l.head = e.next
+	}
+	if e.next >= 0 {
+		c.slab[e.next].prev = e.prev
+	} else {
+		l.tail = e.prev
+	}
+}
+
+// file puts a resident entry at the most-recent end of the recency list
+// for its current state.
+func (c *Cache) file(i int32) {
+	e := &c.slab[i]
+	l := c.list(e)
+	e.prev, e.next = l.tail, -1
+	if l.tail >= 0 {
+		c.slab[l.tail].next = i
+	} else {
+		l.head = i
+	}
+	l.tail = i
 }
 
 // evictOne removes the least recently used entry, preferring empty
-// entries; occupied entries are written back to memory at eviction cost.
+// entries, which are dropped; occupied entries are written back to memory
+// at eviction cost.
 func (c *Cache) evictOne() {
-	victim := c.empties.next
-	victimEmpty := victim != &c.empties
-	if !victimEmpty {
-		victim = c.occupied.next
+	l := &c.empties
+	if l.head < 0 {
+		l = &c.occupied
 	}
-	victim.prev.next, victim.next.prev = victim.next, victim.prev
-	victim.prev, victim.next = nil, nil
-	victim.resident = false
+	i := l.head
+	c.unlink(l, i)
 	c.resident--
-	if victimEmpty {
-		delete(c.byChan, victim.channel)
-		victim.cellValue = 0
-		victim.isCell = false
-		c.free = append(c.free, victim)
-	} else {
+	e := &c.slab[i]
+	e.resident = false
+	if l == &c.occupied {
 		c.Stats.Evictions++
+		return
 	}
+	// An empty entry is no cell and has no waiters: it is already in its
+	// initial state but for its channel.
+	c.table[e.channel/c.stride] = 0
+	e.next = c.free
+	c.free = i
 }
 
 // Completion describes a finished rendezvous: the two parties to unblock
@@ -212,8 +282,12 @@ type Completion struct {
 // value. The boolean reports whether the access missed the cache.
 func (c *Cache) Send(ch, val int32, sender ContextRef) (done *Completion, missed bool, err error) {
 	c.Stats.Sends++
-	e, missed := c.lookup(ch)
-	defer c.file(e)
+	i, missed, err := c.lookup(ch)
+	if err != nil {
+		return nil, false, err
+	}
+	defer c.file(i)
+	e := &c.slab[i]
 	if e.isCell {
 		return nil, missed, fmt.Errorf("mcache: channel %d is a fetch-and-φ cell", ch)
 	}
@@ -233,8 +307,12 @@ func (c *Cache) Send(ch, val int32, sender ContextRef) (done *Completion, missed
 // waiting, the rendezvous completes; otherwise the receiver blocks.
 func (c *Cache) Recv(ch int32, receiver ContextRef) (done *Completion, missed bool, err error) {
 	c.Stats.Receives++
-	e, missed := c.lookup(ch)
-	defer c.file(e)
+	i, missed, err := c.lookup(ch)
+	if err != nil {
+		return nil, false, err
+	}
+	defer c.file(i)
+	e := &c.slab[i]
 	if e.isCell {
 		return nil, missed, fmt.Errorf("mcache: channel %d is a fetch-and-φ cell", ch)
 	}
@@ -254,8 +332,12 @@ func (c *Cache) Recv(ch int32, receiver ContextRef) (done *Completion, missed bo
 // and returns the previous value (the fetch-and-φ1 operation).
 func (c *Cache) FetchAndAdd(ch, delta int32) (old int32, missed bool, err error) {
 	c.Stats.FetchPhis++
-	e, missed := c.lookup(ch)
-	defer c.file(e)
+	i, missed, err := c.lookup(ch)
+	if err != nil {
+		return 0, false, err
+	}
+	defer c.file(i)
+	e := &c.slab[i]
 	if !e.isCell && e.state() != Empty {
 		return 0, missed, fmt.Errorf("mcache: channel %d is in rendezvous use (%v)", ch, e.state())
 	}
@@ -269,8 +351,12 @@ func (c *Cache) FetchAndAdd(ch, delta int32) (old int32, missed bool, err error)
 // returns the previous value (the fetch-and-φ2 operation).
 func (c *Cache) FetchAndStore(ch, val int32) (old int32, missed bool, err error) {
 	c.Stats.FetchPhis++
-	e, missed := c.lookup(ch)
-	defer c.file(e)
+	i, missed, err := c.lookup(ch)
+	if err != nil {
+		return 0, false, err
+	}
+	defer c.file(i)
+	e := &c.slab[i]
 	if !e.isCell && e.state() != Empty {
 		return 0, missed, fmt.Errorf("mcache: channel %d is in rendezvous use (%v)", ch, e.state())
 	}
@@ -283,19 +369,19 @@ func (c *Cache) FetchAndStore(ch, val int32) (old int32, missed bool, err error)
 // ChannelState reports the externally visible state of a channel without
 // disturbing cache statistics or recency (a debugging/verification probe).
 func (c *Cache) ChannelState(ch int32) State {
-	if e, ok := c.byChan[ch]; ok {
-		return e.state()
+	if i := c.find(ch); i >= 0 {
+		return c.slab[i].state()
 	}
 	return Empty
 }
 
 // PendingWaiters reports how many parties are blocked on the channel.
 func (c *Cache) PendingWaiters(ch int32) int {
-	e, ok := c.byChan[ch]
-	if !ok {
+	i := c.find(ch)
+	if i < 0 {
 		return 0
 	}
-	return len(e.senders) + len(e.receivers)
+	return len(c.slab[i].senders) + len(c.slab[i].receivers)
 }
 
 // Resident reports the number of entries currently held in the cache.

@@ -457,3 +457,40 @@ func TestEvictionMatchesReference(t *testing.T) {
 		}
 	}
 }
+
+// TestStridedCacheMatchesUnstrided: a cache homing every fifth channel
+// (ids 3, 8, 13, …, as element 3 of a five-element machine sees them)
+// behaves exactly like a plain cache fed ids 0, 1, 2, … in their place.
+func TestStridedCacheMatchesUnstrided(t *testing.T) {
+	const stride, home = 5, 3
+	for seed := int64(1); seed <= 10; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		plain, strided := New(3), NewStrided(3, stride)
+		for op := 0; op < 1000; op++ {
+			k := rng.Int31n(9)
+			ch := home + stride*k
+			v := rng.Int31n(100)
+			who := ContextRef{PE: rng.Intn(4), Ctx: op}
+			var want, got *Completion
+			var wantMiss, gotMiss bool
+			var wantErr, gotErr error
+			if rng.Intn(2) == 0 {
+				want, wantMiss, wantErr = plain.Send(k, v, who)
+				got, gotMiss, gotErr = strided.Send(ch, v, who)
+			} else {
+				want, wantMiss, wantErr = plain.Recv(k, who)
+				got, gotMiss, gotErr = strided.Recv(ch, who)
+			}
+			if (got == nil) != (want == nil) || got != nil && *got != *want || gotMiss != wantMiss || (gotErr == nil) != (wantErr == nil) {
+				t.Fatalf("seed %d op %d: strided (%v, %v, %v), plain (%v, %v, %v)", seed, op, got, gotMiss, gotErr, want, wantMiss, wantErr)
+			}
+			if strided.Stats != plain.Stats || strided.ChannelState(ch) != plain.ChannelState(k) ||
+				strided.PendingWaiters(ch) != plain.PendingWaiters(k) {
+				t.Fatalf("seed %d op %d: strided and plain caches diverge", seed, op)
+			}
+		}
+	}
+	if _, _, err := New(1).Send(-1, 0, ContextRef{}); err == nil {
+		t.Error("negative channel accepted")
+	}
+}

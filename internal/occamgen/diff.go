@@ -34,8 +34,10 @@ var diffConfigs = []struct {
 	{"unoptimized", compile.Options{NoInputOrder: true, NoLiveFilter: true, NoPriority: true, NoConstFold: true}},
 }
 
-// diffPECounts are the machine sizes every configuration simulates on.
-var diffPECounts = []int{1, 3}
+// diffPECounts are the machine sizes every configuration simulates on:
+// one element, a small shared bus, and 16 elements in eight ring
+// partitions, where rendezvous are remote and routing crosses partitions.
+var diffPECounts = []int{1, 3, 16}
 
 // Failure describes one differential divergence, with everything needed to
 // reproduce and report it.

@@ -44,11 +44,6 @@ const (
 // Outcome reports the execution of one instruction.
 type Outcome struct {
 	Cycles int
-	// Queue is the operand-queue span sampled at issue (§5.2's queue
-	// length). The machine also accumulates it into Stats.QueueSum;
-	// returning it makes the outcome self-contained for batching callers
-	// that fold per-instruction statistics without re-reading the context.
-	Queue int
 	// Act is non-ActNone when the instruction requires external
 	// completion; the context must not execute further until the system
 	// completes or resumes it.
@@ -147,7 +142,7 @@ func (m *Machine) SetRecorder(rec trace.Recorder) { m.rec = rec }
 
 // readSrc evaluates a source operand, returning its value and any extra
 // cycles beyond the base instruction cost.
-func (m *Machine) readSrc(c *Context, s isa.Src) (int32, int, error) {
+func (m *Machine) readSrc(c *Context, s *isa.Src) (int32, int, error) {
 	switch s.Mode {
 	case isa.SrcSmallImm:
 		return s.Imm, 0, nil
@@ -179,7 +174,8 @@ func (m *Machine) readSrc(c *Context, s isa.Src) (int32, int, error) {
 
 // writeReg writes a result to a destination register: window registers
 // store into the queue page slot and set the presence bit; DUMMY discards;
-// globals update the register file.
+// globals update the register file. A negative queue pointer would
+// address no page slot, so writing one is an error.
 func (m *Machine) writeReg(c *Context, reg int, val int32) error {
 	switch {
 	case reg < isa.NumWindowRegs:
@@ -199,7 +195,10 @@ func (m *Machine) writeReg(c *Context, reg int, val int32) error {
 	case reg == isa.RegDummy:
 		return nil
 	case reg == isa.RegQP:
-		c.QP = int(val)
+		if val < 0 {
+			return fmt.Errorf("pe: context %d: queue pointer set to negative value %d", c.ID, val)
+		}
+		c.setQP(int(val))
 		return nil
 	case reg == isa.RegPC:
 		c.PC = int(val)
@@ -212,7 +211,7 @@ func (m *Machine) writeReg(c *Context, reg int, val int32) error {
 
 // writeResult distributes an instruction's result to its two destination
 // fields and records it for subsequent dup instructions.
-func (m *Machine) writeResult(c *Context, in isa.Instr, val int32) error {
+func (m *Machine) writeResult(c *Context, in *isa.Instr, val int32) error {
 	if err := m.writeReg(c, in.Dst1, val); err != nil {
 		return err
 	}
@@ -226,14 +225,24 @@ func (m *Machine) writeResult(c *Context, in isa.Instr, val int32) error {
 // advanceQP consumes n operands from the queue front, clearing the presence
 // bits of the freed window registers.
 func (c *Context) advanceQP(n int) {
-	for i := 0; i < n && i < len(c.Page); i++ {
-		idx := (c.QP + i) % len(c.Page)
+	if n >= len(c.Page) {
+		clear(c.inWindow)
+		c.winCount = 0
+		c.setQP(c.QP + n)
+		return
+	}
+	idx := c.qpSlot
+	for i := 0; i < n; i++ {
 		if c.inWindow[idx] {
 			c.inWindow[idx] = false
 			c.winCount--
 		}
+		if idx++; idx == len(c.Page) {
+			idx = 0
+		}
 	}
 	c.QP += n
+	c.qpSlot = idx
 }
 
 // ExecOne executes the instruction at the context's program counter. On a
@@ -241,163 +250,172 @@ func (c *Context) advanceQP(n int) {
 // advanced; the pending destinations are stored in the context for
 // Complete. `now` is the simulated time of the issue, used only for
 // instrumentation.
+//
+// The simulator calls this for every simulated instruction, so it reads
+// the decoded instruction in place and builds the outcome once, in one
+// frame.
 func (m *Machine) ExecOne(c *Context, now int64) (Outcome, error) {
-	if m.rec == nil {
-		return m.execOne(c)
-	}
-	graph, pc := c.Graph, c.PC
-	wm := m.Stats.WindowMisses
-	out, err := m.execOne(c)
-	if err == nil {
-		// Presence-bit stall: window misses fetched from the memory page
-		// each cost Params.Mem beyond the base instruction cycles (§5.2).
-		stall := int(m.Stats.WindowMisses-wm) * m.Params.Mem
-		m.rec.Instr(m.PEID, c.ID, graph, pc, m.Prog.graphs[graph][pc].info.Mnemonic, now, out.Cycles, stall)
-	}
-	return out, err
-}
-
-func (m *Machine) execOne(c *Context) (Outcome, error) {
 	g := m.Prog.graphs[c.Graph]
 	if c.PC < 0 || c.PC >= len(g) || g[c.PC].words == 0 {
 		return Outcome{}, fmt.Errorf("pe: context %d: no instruction at graph %d pc %d", c.ID, c.Graph, c.PC)
 	}
 	d := &g[c.PC]
-	in := d.in
-	info := d.info
+	in, info := &d.in, &d.info
+	graph, pc, wm := c.Graph, c.PC, m.Stats.WindowMisses
 	m.Stats.Instructions++
-	queue := c.QueueLength()
-	m.Stats.QueueSum += int64(queue)
+	m.Stats.QueueSum += int64(c.QueueLength())
+	// The outcome's fields stay in locals until the one return that
+	// assembles it, so it travels back in registers.
 	cycles := m.Params.ALU
+	var (
+		act       ActionKind
+		ch, val   int32
+		code, arg int32
+	)
 
 	if in.IsDup() {
-		// dup writes the previous result directly into the memory
-		// page at the given offsets (§5.3.3: offsets below 16 also
-		// write memory, not the window). The offsets stay in a stack
-		// array: the hot loop must not allocate.
-		offsets := [2]int{in.Dst1, in.Dst2}
-		n := 1
-		if in.Op == isa.OpDup2 {
-			n = 2
+		extra, err := m.execDup(c, d)
+		if err != nil {
+			return Outcome{}, err
 		}
-		for _, off := range offsets[:n] {
-			if off >= len(c.Page) {
-				return Outcome{}, fmt.Errorf("pe: context %d: dup offset %d exceeds queue page %d", c.ID, off, len(c.Page))
+		cycles += extra
+	} else {
+		// Source operands.
+		var v1, v2 int32
+		if info.Srcs >= 1 {
+			v, extra, err := m.readSrc(c, &in.Src1)
+			if err != nil {
+				return Outcome{}, err
 			}
-			idx := (c.QP + off) % len(c.Page)
-			c.Page[idx] = c.LastResult
-			if c.inWindow[idx] {
-				c.inWindow[idx] = false
-				c.winCount--
-			}
-			if c.QP+off > c.highWater {
-				c.highWater = c.QP + off
-			}
-			cycles += m.Params.Mem
+			v1, cycles = v, cycles+extra
 		}
+		if info.Srcs >= 2 {
+			v, extra, err := m.readSrc(c, &in.Src2)
+			if err != nil {
+				return Outcome{}, err
+			}
+			v2, cycles = v, cycles+extra
+		}
+
+		// The QP increment takes effect after operand fetch, before results.
+		c.advanceQP(in.QPInc)
 		c.PC += d.words
-		m.Stats.Cycles += int64(cycles)
-		return Outcome{Cycles: cycles, Queue: queue}, nil
-	}
 
-	// Source operands.
-	var v1, v2 int32
-	if info.Srcs >= 1 {
-		v, extra, err := m.readSrc(c, in.Src1)
-		if err != nil {
-			return Outcome{}, err
-		}
-		v1, cycles = v, cycles+extra
-	}
-	if info.Srcs >= 2 {
-		v, extra, err := m.readSrc(c, in.Src2)
-		if err != nil {
-			return Outcome{}, err
-		}
-		v2, cycles = v, cycles+extra
-	}
-
-	// The QP increment takes effect after operand fetch, before results.
-	c.advanceQP(in.QPInc)
-	c.PC += d.words
-
-	switch {
-	case info.Branch:
-		m.Stats.Branches++
-		cycles += m.Params.Branch - m.Params.ALU
-		taken := isa.Truthy(v1)
-		if in.Op == isa.OpBeq {
-			taken = !taken
-		}
-		if taken {
-			c.PC += int(v2)
-		}
-	case info.Memory:
-		m.Stats.MemOps++
-		cycles += m.Params.Mem
-		switch in.Op {
-		case isa.OpFetch:
-			val, extra, err := m.Mem.FetchWord(m.PEID, v1)
-			if err != nil {
-				return Outcome{}, fmt.Errorf("pe: context %d: %w", c.ID, err)
+		switch {
+		case info.Branch:
+			m.Stats.Branches++
+			cycles += m.Params.Branch - m.Params.ALU
+			taken := isa.Truthy(v1)
+			if in.Op == isa.OpBeq {
+				taken = !taken
 			}
-			cycles += extra
-			if err := m.writeResult(c, in, val); err != nil {
+			if taken {
+				c.PC += int(v2)
+			}
+		case info.Memory:
+			m.Stats.MemOps++
+			extra, err := m.execMem(c, in, v1, v2)
+			if err != nil {
 				return Outcome{}, err
 			}
-		case isa.OpFchb:
-			val, extra, err := m.Mem.FetchByte(m.PEID, v1)
-			if err != nil {
-				return Outcome{}, fmt.Errorf("pe: context %d: %w", c.ID, err)
+			cycles += m.Params.Mem + extra
+		case info.Channel:
+			m.Stats.ChannelOps++
+			cycles += m.Params.ChanOp
+			ch = v1
+			if in.Op == isa.OpSend {
+				act, val = ActSend, v2
+			} else {
+				act = ActRecv
+				c.PendDst1, c.PendDst2 = in.Dst1, in.Dst2
 			}
-			cycles += extra
-			if err := m.writeResult(c, in, val); err != nil {
+		case info.Trap:
+			if in.Op == isa.OpFret || in.Op == isa.OpRett {
+				return Outcome{}, fmt.Errorf("pe: context %d: %v outside kernel mode", c.ID, in.Op)
+			}
+			m.Stats.Traps++
+			cycles += m.Params.Trap
+			act, code, arg = ActTrap, v1, v2
+			c.PendDst1, c.PendDst2 = in.Dst1, in.Dst2
+		default:
+			// Logical, arithmetic or comparison operation.
+			res, err := isa.EvalALU(in.Op, v1, v2)
+			if err != nil {
+				return Outcome{}, fmt.Errorf("pe: context %d graph %d pc %d: %w", c.ID, c.Graph, c.PC, err)
+			}
+			if err := m.writeResult(c, in, res); err != nil {
 				return Outcome{}, err
 			}
-		case isa.OpStore:
-			extra, err := m.Mem.StoreWord(m.PEID, v1, v2)
-			if err != nil {
-				return Outcome{}, fmt.Errorf("pe: context %d: %w", c.ID, err)
-			}
-			cycles += extra
-		case isa.OpStorb:
-			extra, err := m.Mem.StoreByte(m.PEID, v1, v2)
-			if err != nil {
-				return Outcome{}, fmt.Errorf("pe: context %d: %w", c.ID, err)
-			}
-			cycles += extra
-		}
-	case info.Channel:
-		m.Stats.ChannelOps++
-		cycles += m.Params.ChanOp
-		if in.Op == isa.OpSend {
-			m.Stats.Cycles += int64(cycles)
-			return Outcome{Cycles: cycles, Queue: queue, Act: ActSend, Ch: v1, Val: v2}, nil
-		}
-		c.PendDst1, c.PendDst2 = in.Dst1, in.Dst2
-		m.Stats.Cycles += int64(cycles)
-		return Outcome{Cycles: cycles, Queue: queue, Act: ActRecv, Ch: v1}, nil
-	case info.Trap:
-		if in.Op == isa.OpFret || in.Op == isa.OpRett {
-			return Outcome{}, fmt.Errorf("pe: context %d: %v outside kernel mode", c.ID, in.Op)
-		}
-		m.Stats.Traps++
-		cycles += m.Params.Trap
-		c.PendDst1, c.PendDst2 = in.Dst1, in.Dst2
-		m.Stats.Cycles += int64(cycles)
-		return Outcome{Cycles: cycles, Queue: queue, Act: ActTrap, Code: v1, Arg: v2}, nil
-	default:
-		// Logical, arithmetic or comparison operation.
-		val, err := isa.EvalALU(in.Op, v1, v2)
-		if err != nil {
-			return Outcome{}, fmt.Errorf("pe: context %d graph %d pc %d: %w", c.ID, c.Graph, c.PC, err)
-		}
-		if err := m.writeResult(c, in, val); err != nil {
-			return Outcome{}, err
 		}
 	}
 	m.Stats.Cycles += int64(cycles)
-	return Outcome{Cycles: cycles, Queue: queue}, nil
+	if m.rec != nil {
+		// Presence-bit stall: window misses fetched from the memory page
+		// each cost Params.Mem beyond the base instruction cycles (§5.2).
+		stall := int(m.Stats.WindowMisses-wm) * m.Params.Mem
+		m.rec.Instr(m.PEID, c.ID, graph, pc, info.Mnemonic, now, cycles, stall)
+	}
+	return Outcome{Cycles: cycles, Act: act, Ch: ch, Val: val, Code: code, Arg: arg}, nil
+}
+
+// execDup executes a dup instruction: it writes the previous result
+// directly into the memory page at the given offsets (§5.3.3: offsets
+// below 16 also write memory, not the window). It returns the cycles
+// beyond the base instruction cost.
+func (m *Machine) execDup(c *Context, d *decodedInstr) (int, error) {
+	// The offsets stay in a stack array: the hot loop must not allocate.
+	cycles := 0
+	offsets := [2]int{d.in.Dst1, d.in.Dst2}
+	n := 1
+	if d.in.Op == isa.OpDup2 {
+		n = 2
+	}
+	for _, off := range offsets[:n] {
+		if off >= len(c.Page) {
+			return 0, fmt.Errorf("pe: context %d: dup offset %d exceeds queue page %d", c.ID, off, len(c.Page))
+		}
+		idx := c.slot(off)
+		c.Page[idx] = c.LastResult
+		if c.inWindow[idx] {
+			c.inWindow[idx] = false
+			c.winCount--
+		}
+		if c.QP+off > c.highWater {
+			c.highWater = c.QP + off
+		}
+		cycles += m.Params.Mem
+	}
+	c.PC += d.words
+	return cycles, nil
+}
+
+// execMem performs a data-memory instruction's access and result write,
+// returning the bus's extra cycles.
+func (m *Machine) execMem(c *Context, in *isa.Instr, v1, v2 int32) (int, error) {
+	var (
+		word  int32
+		extra int
+		err   error
+	)
+	switch in.Op {
+	case isa.OpFetch:
+		word, extra, err = m.Mem.FetchWord(m.PEID, v1)
+	case isa.OpFchb:
+		word, extra, err = m.Mem.FetchByte(m.PEID, v1)
+	case isa.OpStore:
+		extra, err = m.Mem.StoreWord(m.PEID, v1, v2)
+	case isa.OpStorb:
+		extra, err = m.Mem.StoreByte(m.PEID, v1, v2)
+	}
+	if err != nil {
+		return 0, fmt.Errorf("pe: context %d: %w", c.ID, err)
+	}
+	if in.Op == isa.OpFetch || in.Op == isa.OpFchb {
+		if err := m.writeResult(c, in, word); err != nil {
+			return 0, err
+		}
+	}
+	return extra, nil
 }
 
 // Complete delivers the result of a blocked recv or trap to the context's

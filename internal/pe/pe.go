@@ -121,8 +121,12 @@ type Context struct {
 	Graph int
 	PC    int
 	// QP is the virtual queue front. The physical page slot of queue
-	// index i is i modulo the page size.
+	// index i is i modulo the page size. Write it through setQP, which
+	// keeps qpSlot.
 	QP int
+	// qpSlot is QP modulo the page size, so that the operand path finds
+	// a window register's page slot without dividing.
+	qpSlot int
 	// Page is the memory-resident operand queue page.
 	Page []int32
 	// inWindow marks page slots whose value currently resides in a
@@ -177,6 +181,7 @@ func (c *Context) Reset(id, graph int) {
 	c.Graph = graph
 	c.PC = 0
 	c.QP = 0
+	c.qpSlot = 0
 	clear(c.Page)
 	clear(c.inWindow)
 	c.Globals = [16]int32{}
@@ -214,7 +219,7 @@ func (c *Context) SetChannels(in, out int32) {
 func (c *Context) WindowOccupancy() int {
 	n := 0
 	for i := 0; i < isa.NumWindowRegs && i < len(c.Page); i++ {
-		if c.inWindow[(c.QP+i)%len(c.Page)] {
+		if c.inWindow[c.slot(i)] {
 			n++
 		}
 	}
@@ -232,13 +237,16 @@ func (c *Context) RollOut() int {
 	if n == 0 {
 		return 0
 	}
+	// The set bits lie in the window at the queue front unless a qp write
+	// has moved the front away from them, so the scan starts there.
 	cleared := 0
-	for i := range c.inWindow {
-		if c.inWindow[i] {
-			c.inWindow[i] = false
-			if cleared++; cleared == n {
-				break
-			}
+	for i, idx := 0, c.qpSlot; i < len(c.inWindow) && cleared < n; i++ {
+		if c.inWindow[idx] {
+			c.inWindow[idx] = false
+			cleared++
+		}
+		if idx++; idx == len(c.inWindow) {
+			idx = 0
 		}
 	}
 	c.winCount = 0
@@ -254,5 +262,23 @@ func (c *Context) queueIndex(reg int) (int, error) {
 	if reg >= len(c.Page) {
 		return 0, fmt.Errorf("pe: window register %d beyond queue page of %d words", reg, len(c.Page))
 	}
-	return (c.QP + reg) % len(c.Page), nil
+	return c.slot(reg), nil
+}
+
+// slot returns the page slot of the queue element off places past the
+// front, for 0 <= off < len(c.Page).
+func (c *Context) slot(off int) int {
+	i := c.qpSlot + off
+	if i >= len(c.Page) {
+		i -= len(c.Page)
+	}
+	return i
+}
+
+// setQP moves the queue front to qp >= 0.
+func (c *Context) setQP(qp int) {
+	c.QP = qp
+	if len(c.Page) > 0 {
+		c.qpSlot = qp % len(c.Page)
+	}
 }

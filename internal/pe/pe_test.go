@@ -1,6 +1,8 @@
 package pe
 
 import (
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -358,5 +360,74 @@ func TestStatusString(t *testing.T) {
 	}
 	if !strings.Contains(Status(42).String(), "42") {
 		t.Error("unknown status")
+	}
+}
+
+// TestNegativeQPWrite: a negative queue pointer addresses no page slot, so
+// writing one is a structured error naming the context and the value
+// rather than an index panic on the next window read.
+func TestNegativeQPWrite(t *testing.T) {
+	m, c, _ := load(t, `
+.graph main queue=32
+	plus #-1,#0 :qp
+	plus r0,#0 :r1
+	trap #0,#0
+`)
+	_, err := m.ExecOne(c, 0)
+	if err == nil || !strings.Contains(err.Error(), "pe: context 0") || !strings.Contains(err.Error(), "-1") {
+		t.Fatalf("negative QP write: %v", err)
+	}
+
+	// The same through a completion: a recv or trap into qp.
+	c2 := NewContext(1, 0, 32)
+	c2.PendDst1 = isa.RegQP
+	if err := m.Complete(c2, -5); err == nil || !strings.Contains(err.Error(), "pe: context 1") || !strings.Contains(err.Error(), "-5") {
+		t.Fatalf("negative QP completion: %v", err)
+	}
+}
+
+// TestQPSlotTracksQP: however the queue pointer moves — operand
+// consumption past the page end, consumption of a whole page or more, and
+// explicit writes — the cached page slot of the queue front stays QP
+// modulo the page size, so window reads find the values written.
+func TestQPSlotTracksQP(t *testing.T) {
+	c := NewContext(0, 0, 8)
+	check := func(step string) {
+		t.Helper()
+		if want := c.QP % len(c.Page); c.slot(0) != want {
+			t.Fatalf("%s: QP %d has slot %d, want %d", step, c.QP, c.slot(0), want)
+		}
+	}
+	for i := 0; i < 11; i++ {
+		c.advanceQP(1 + i%3)
+		check(fmt.Sprintf("advance %d", i))
+	}
+	c.advanceQP(8)
+	check("advance a page")
+	c.advanceQP(21)
+	check("advance past a page")
+	m := &Machine{}
+	for _, qp := range []int32{0, 7, 8, 13, 1 << 20} {
+		if err := m.writeReg(c, isa.RegQP, qp); err != nil {
+			t.Fatalf("QP write %d: %v", qp, err)
+		}
+		check(fmt.Sprintf("write %d", qp))
+		if err := m.writeReg(c, 3, qp+100); err != nil {
+			t.Fatal(err)
+		}
+		if got := c.Page[(c.QP+3)%len(c.Page)]; got != qp+100 {
+			t.Fatalf("after QP write %d: r3 landed elsewhere (slot holds %d)", qp, got)
+		}
+	}
+	// The writes above left presence bits behind the moved queue front;
+	// a roll-out still finds and clears every one.
+	set := 0
+	for _, b := range c.inWindow {
+		if b {
+			set++
+		}
+	}
+	if n := c.RollOut(); n != set || set == 0 || slices.Contains(c.inWindow, true) {
+		t.Fatalf("roll-out after QP writes: %d registers of %d, %v still present", n, set, c.inWindow)
 	}
 }

@@ -123,16 +123,24 @@ func (r *Ring) Transfer(now int64, from, to int) int64 {
 			step = -1
 		}
 		hops := min(d, r.partitions-d)
+		// Walk the links from a: link i joins partitions i and i+1.
 		part := a
 		for h := 0; h < hops; h++ {
-			link := part
-			if step < 0 {
-				link = (part - 1 + r.partitions) % r.partitions
+			var link int
+			if step > 0 {
+				link = part
+				if part++; part == r.partitions {
+					part = 0
+				}
+			} else {
+				if part--; part < 0 {
+					part = r.partitions - 1
+				}
+				link = part
 			}
 			acquire(&r.linkFree[link], r.params.LinkCycles)
-			part = (part + step + r.partitions) % r.partitions
-			r.Stats.HopsTotal++
 		}
+		r.Stats.HopsTotal += int64(hops)
 		acquire(&r.busFree[b], r.params.BusCycles)
 	} else {
 		r.Stats.LocalMsgs++

@@ -2,14 +2,23 @@ package sched
 
 // ctxFIFO is a ready queue that pops by advancing a head index instead of
 // re-slicing, so the backing array is reused once drained and steady-state
-// ready/dispatch traffic never reallocates. (Moved here from the kernel,
-// which used it as its only dispatch structure.)
+// ready/dispatch traffic never reallocates. A queue that never drains
+// reclaims its consumed prefix before it would grow, once that prefix is
+// at least half the array, so its array stays within twice its longest
+// backlog. (Moved here from the kernel, which used it as its only
+// dispatch structure.)
 type ctxFIFO struct {
 	ids  []int
 	head int
 }
 
-func (f *ctxFIFO) push(id int) { f.ids = append(f.ids, id) }
+func (f *ctxFIFO) push(id int) {
+	if len(f.ids) == cap(f.ids) && 2*f.head >= len(f.ids) && f.head > 0 {
+		f.ids = f.ids[:copy(f.ids, f.ids[f.head:])]
+		f.head = 0
+	}
+	f.ids = append(f.ids, id)
+}
 
 func (f *ctxFIFO) pop() (int, bool) {
 	if f.head == len(f.ids) {

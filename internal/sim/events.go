@@ -34,6 +34,21 @@ const (
 	opRecv
 )
 
+// followUp is an event fused onto the one scheduled just before it at the
+// same time (see System.runLoop): it runs right after that event's
+// handler instead of making its own trip through the queue.
+type followUp uint8
+
+const (
+	// thenNone: nothing is fused onto the event.
+	thenNone followUp = iota
+	// thenKick: kick processing element src.
+	thenKick
+	// thenSendDone: deliver the rendezvous acknowledgement to context
+	// sctx on processing element src.
+	thenSendDone
+)
+
 // event is one scheduled simulator occurrence. Events are plain values:
 // they live inline in the queue's backing array and are copied in and out
 // of it, so scheduling allocates nothing once the array has grown to the
@@ -44,15 +59,22 @@ type event struct {
 
 	pe  int32 // processing element concerned (evStep, evKick, deliveries)
 	ctx int32 // context id
-	src int32 // requesting processing element (evChanReq)
+	// src is the requesting processing element of an evChanReq, and the
+	// processing element of the follow-up fused onto the event.
+	src int32
 
-	// Channel request payload.
+	// Channel request payload. A delivery's channel field is free, so an
+	// evRecvDone carrying a thenSendDone holds the sender's context there.
 	ch  int32
 	val int32
 
 	kind eventKind
 	op   chanOp
+	then followUp
 }
+
+// sctx is the sender context of a fused thenSendDone.
+func (e *event) sctx() int32 { return e.ch }
 
 // calWidth is the calendar's window in cycles: one bucket per cycle. Every
 // schedule delta measured on the exact-gated programs at 1–8 PEs is under

@@ -247,7 +247,8 @@ func TestRunErrors(t *testing.T) {
 		name   string
 		src    string
 		pes    int
-		config bool // the error must be a ConfigError on "pes"
+		config bool   // the error must be a ConfigError on "pes"
+		msg    string // when set, the error must contain it
 	}{
 		{name: "zero-pes", src: singleContext, pes: 0},
 		{name: "machine-size-cap", src: singleContext, pes: MaxPEs + 1, config: true},
@@ -269,6 +270,13 @@ func TestRunErrors(t *testing.T) {
 	send #0,#1
 	trap #0,#0
 `},
+		// A channel the kernel never allocated: the message caches
+		// index their tables by allocated channel ids.
+		{name: "unallocated-channel", pes: 2, msg: "invalid channel 99", src: `
+.graph main queue=32
+	send #99,#1
+	trap #0,#0
+`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -279,6 +287,9 @@ func TestRunErrors(t *testing.T) {
 			var ce *ConfigError
 			if tc.config && (!errors.As(err, &ce) || ce.Field != "pes") {
 				t.Fatalf("want ConfigError on pes, got %v", err)
+			}
+			if !strings.Contains(err.Error(), tc.msg) {
+				t.Fatalf("error %q does not mention %q", err, tc.msg)
 			}
 		})
 	}
@@ -369,5 +380,20 @@ func TestMemoryFaults(t *testing.T) {
 		if _, err := Run(assemble(t, src), 1, DefaultParams()); err == nil {
 			t.Errorf("case %d: fault not detected", i)
 		}
+	}
+}
+
+// TestNegativeQPWriteFails: writing -1 to qp and then reading a window
+// register used to crash Run with an index panic; it is a structured pe
+// error naming the context and the value.
+func TestNegativeQPWriteFails(t *testing.T) {
+	_, err := Run(assemble(t, `
+.graph main queue=32
+	plus #-1,#0 :qp
+	plus r0,#0 :r1
+	trap #0,#0
+`), 1, DefaultParams())
+	if err == nil || !strings.Contains(err.Error(), "pe: context 0") || !strings.Contains(err.Error(), "-1") {
+		t.Fatalf("Run = %v, want a pe error for the negative queue pointer", err)
 	}
 }

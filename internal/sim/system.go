@@ -78,6 +78,10 @@ type System struct {
 	running []*pe.Context
 	lastCtx []*pe.Context // context whose window registers are loaded
 
+	// fuse enables same-cycle event fusion (see runLoop). It is off under
+	// Params.NoBatch; tests turn it off alone for a batched oracle.
+	fuse bool
+
 	// rec is the instrumentation recorder; nil (the default) disables every
 	// hook behind a single pointer test. sampleEvery/nextSample drive the
 	// cycle-sampled Sample callbacks.
@@ -135,10 +139,11 @@ func New(obj *isa.Object, numPEs int, params Params) (*System, error) {
 		mem:      newReplicatedMemory(obj.DataWords, params.StoreBroadcast),
 		running:  make([]*pe.Context, numPEs),
 		lastCtx:  make([]*pe.Context, numPEs),
+		fuse:     !params.NoBatch,
 	}
 	s.mem.load(obj)
 	for i := 0; i < numPEs; i++ {
-		s.caches[i] = mcache.New(params.MsgCacheEntries)
+		s.caches[i] = mcache.NewStrided(params.MsgCacheEntries, numPEs)
 		s.machines[i] = pe.NewMachine(i, params.PE, prog, s.mem)
 	}
 	return s, nil
@@ -260,6 +265,21 @@ func (s *System) RunContext(ctx context.Context) (*Result, error) {
 // runLoop is the sequential event loop: pop events in (time, seq) order and
 // dispatch them to their handlers until the program finishes, the queue
 // drains (deadlock), or an error trips. Failures land in s.err.
+//
+// Same-cycle event fusion: when a handler schedules event B at the same
+// time as the event A it scheduled just before, with no schedule call in
+// between, B is fused onto A (A.then) instead of queued. The fusion is
+// exact. B's seq would be A's plus one, so no event could pop between
+// them: one scheduled earlier at their time has a smaller seq and pops
+// before A, one scheduled later has a larger seq than B, and nothing is
+// ever scheduled before the current time. So B runs right after A's
+// handler, as its pop would have, and only when the loop would have gone
+// on to pop it: with no error tripped and the program not finished. The
+// one observer of B's absence from the queue is A's own handler, and only
+// a step looks at the queue; handleStep therefore batches a step that
+// carries a follow-up against the horizon now, where the queued B would
+// have put it. With Params.NoBatch nothing is fused, so the batching
+// oracle runs every event through the queue.
 func (s *System) runLoop() {
 	var polled uint
 	for s.q.len() > 0 && !s.finished && s.err == nil {
@@ -289,12 +309,30 @@ func (s *System) runLoop() {
 		case evRecvDone:
 			s.handleRecvDone(e)
 		case evSendDone:
-			s.handleSendDone(e)
+			s.sendDone(int(e.pe), int(e.ctx))
 		case evWake:
 			s.handleWake(e)
 		case evKick:
 			s.dispatch(int(e.pe))
 		}
+		if e.then != thenNone {
+			s.followUp(&e)
+		}
+	}
+}
+
+// followUp runs the event fused onto e, which has just been handled, if
+// the loop would have gone on to pop it: no error has tripped and the
+// program has not finished.
+func (s *System) followUp(e *event) {
+	if s.err != nil || s.finished {
+		return
+	}
+	switch e.then {
+	case thenKick:
+		s.dispatch(int(e.src))
+	case thenSendDone:
+		s.sendDone(int(e.src), int(e.sctx()))
 	}
 }
 
@@ -307,6 +345,24 @@ func (s *System) schedule(t int64, e event) {
 
 func (s *System) scheduleKick(peID int, t int64) {
 	s.schedule(t, event{kind: evKick, pe: int32(peID)})
+}
+
+// scheduleFused schedules e at t and, right after it, the follow-up e
+// names: fused onto e, or as an event of its own when fusion is off.
+func (s *System) scheduleFused(t int64, e event) {
+	if s.fuse {
+		s.schedule(t, e)
+		return
+	}
+	then := e.then
+	e.then = thenNone
+	s.schedule(t, e)
+	switch then {
+	case thenKick:
+		s.scheduleKick(int(e.src), t)
+	case thenSendDone:
+		s.schedule(t, event{kind: evSendDone, pe: e.src, ctx: e.sctx()})
+	}
 }
 
 func (s *System) fail(err error) {
@@ -420,8 +476,11 @@ func (s *System) handleStep(e event) {
 	}
 	m := s.machines[e.pe]
 	horizon := s.q.peekTime()
-	if s.p.NoBatch {
-		horizon = s.now // every step reaches the horizon: event-per-step
+	if s.p.NoBatch || e.then != thenNone {
+		// Every step reaches the horizon: event-per-step. A step carrying
+		// a follow-up stops here too, since unfused the follow-up would
+		// sit in the queue at now.
+		horizon = s.now
 	}
 	for {
 		s.instructions++
@@ -445,7 +504,6 @@ func (s *System) handleStep(e event) {
 				s.rec.EndRun(int(e.pe), c.ID, t, trace.EndBlockedSend)
 			}
 			s.routeChanOp(t, int(e.pe), opSend, out.Ch, out.Val, c.ID)
-			s.scheduleKick(int(e.pe), t)
 			return
 		case pe.ActRecv:
 			c.Status = pe.BlockedRecv
@@ -454,7 +512,6 @@ func (s *System) handleStep(e event) {
 				s.rec.EndRun(int(e.pe), c.ID, t, trace.EndBlockedRecv)
 			}
 			s.routeChanOp(t, int(e.pe), opRecv, out.Ch, 0, c.ID)
-			s.scheduleKick(int(e.pe), t)
 			return
 		case pe.ActTrap:
 			s.handleTrap(int(e.pe), c, out.Code, out.Arg, t)
@@ -490,18 +547,24 @@ func (s *System) handleStep(e event) {
 }
 
 // routeChanOp forwards a channel operation to the channel's home message
-// processor, over the ring when remote.
+// processor, over the ring when remote, and kicks the requesting
+// processing element, which the blocked context has left idle. A local
+// request carries the kick: both are due at t. Only channels the kernel
+// has allocated are valid; the message caches size their tables to them.
 func (s *System) routeChanOp(t int64, fromPE int, op chanOp, ch, val int32, ctxID int) {
-	if ch <= 0 {
+	if !s.kern.Allocated(ch) {
 		s.fail(fmt.Errorf("sim: context %d uses invalid channel %d", ctxID, ch))
 		return
 	}
 	home := int(ch) % s.numPEs
-	arrive := t
-	if home != fromPE {
-		arrive = s.bus.Transfer(t, fromPE, home)
+	req := event{kind: evChanReq, pe: int32(home), op: op, ch: ch, val: val, ctx: int32(ctxID), src: int32(fromPE)}
+	if home == fromPE {
+		req.then = thenKick
+		s.scheduleFused(t, req)
+		return
 	}
-	s.schedule(arrive, event{kind: evChanReq, pe: int32(home), op: op, ch: ch, val: val, ctx: int32(ctxID), src: int32(fromPE)})
+	s.schedule(s.bus.Transfer(t, fromPE, home), req)
+	s.scheduleKick(fromPE, t)
 }
 
 func (s *System) handleChanReq(e event) {
@@ -543,16 +606,23 @@ func (s *System) handleChanReq(e event) {
 		return // party parked in the cache until its partner arrives
 	}
 	// Deliver the value to the receiver and the acknowledgement to the
-	// sender, over the ring when remote.
+	// sender, over the ring when remote. When both arrive in the same
+	// cycle the acknowledgement rides on the delivery.
 	rArrive := finish
 	if done.Receiver.PE != home {
 		rArrive = s.bus.Transfer(finish, home, done.Receiver.PE)
 	}
-	s.schedule(rArrive, event{kind: evRecvDone, pe: int32(done.Receiver.PE), ctx: int32(done.Receiver.Ctx), val: done.Value})
 	sArrive := finish
 	if done.Sender.PE != home {
 		sArrive = s.bus.Transfer(finish, home, done.Sender.PE)
 	}
+	recv := event{kind: evRecvDone, pe: int32(done.Receiver.PE), ctx: int32(done.Receiver.Ctx), val: done.Value}
+	if sArrive == rArrive {
+		recv.then, recv.src, recv.ch = thenSendDone, int32(done.Sender.PE), int32(done.Sender.Ctx)
+		s.scheduleFused(rArrive, recv)
+		return
+	}
+	s.schedule(rArrive, recv)
 	s.schedule(sArrive, event{kind: evSendDone, pe: int32(done.Sender.PE), ctx: int32(done.Sender.Ctx)})
 }
 
@@ -573,17 +643,13 @@ func (s *System) handleRecvDone(e event) {
 	s.dispatch(int(e.pe))
 }
 
-func (s *System) handleSendDone(e event) {
-	c, err := s.kern.Context(int(e.ctx))
-	if err != nil {
+// sendDone unblocks a sender whose rendezvous has completed.
+func (s *System) sendDone(peID, ctxID int) {
+	if err := s.kern.Ready(ctxID, s.now); err != nil {
 		s.fail(err)
 		return
 	}
-	if err := s.kern.Ready(c.ID, s.now); err != nil {
-		s.fail(err)
-		return
-	}
-	s.dispatch(int(e.pe))
+	s.dispatch(peID)
 }
 
 func (s *System) handleWake(e event) {
@@ -650,9 +716,9 @@ func (s *System) handleTrap(peID int, c *pe.Context, code, arg int32, t int64) {
 			}
 		}
 		child.SetChannels(cin, cout)
-		done := t + s.p.ForkCycles
-		s.schedule(done, event{kind: evStep, pe: int32(peID), ctx: int32(c.ID)})
-		s.scheduleKick(target, done)
+		// The parent resumes and the child's element is kicked in the
+		// same cycle, so the kick rides on the parent's step.
+		s.scheduleFused(t+s.p.ForkCycles, event{kind: evStep, pe: int32(peID), ctx: int32(c.ID), then: thenKick, src: int32(target)})
 
 	case isa.KChanNew:
 		ch := s.kern.AllocChannel()
