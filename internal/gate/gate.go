@@ -332,6 +332,13 @@ func (s *statusWriter) Flush() {
 // many MiB).
 const relayChunk = 64 << 10
 
+// relayBufs recycles the relay buffers: a fresh zeroed chunk per response
+// was a fifth of the bytes a hot-cache fleet allocated.
+var relayBufs = sync.Pool{New: func() any {
+	b := make([]byte, relayChunk)
+	return &b
+}}
+
 // tryReplica proxies one attempt. It reports false only on a transport
 // error (the replica never answered), in which case the replica is
 // marked dead and nothing has been written to w — the caller may fail
@@ -386,7 +393,9 @@ func (g *Gate) tryReplica(ctx context.Context, w http.ResponseWriter, r *http.Re
 // gate never holds more than one chunk of any response body.
 func flushCopy(w http.ResponseWriter, src io.Reader) {
 	flusher, _ := w.(http.Flusher)
-	buf := make([]byte, relayChunk)
+	bp := relayBufs.Get().(*[]byte)
+	defer relayBufs.Put(bp)
+	buf := *bp
 	for {
 		n, err := src.Read(buf)
 		if n > 0 {

@@ -85,17 +85,23 @@ type Program struct {
 	graphs [][]decodedInstr
 }
 
+// decodedInstr is one pre-decoded instruction with the opcode's static
+// properties the execute path reads. It holds no pointers (the mnemonic,
+// a string, is looked up only for a recorder), so the decoded streams of
+// a cached program are memory the collector never scans.
 type decodedInstr struct {
-	in    isa.Instr
-	info  isa.Info
-	words int // 0 marks a slot that is not the start of an instruction
+	in                            isa.Instr
+	words                         int // 0 marks a slot that is not the start of an instruction
+	srcs                          uint8
+	branch, memory, channel, trap bool
 }
 
 // LoadProgram validates and pre-decodes an object program. Each graph's
 // stream decodes into a dense array indexed by program counter — the fetch
 // on the simulator's hot path is an array load, not a map probe — with the
-// opcode's static Info cached alongside so execution never consults the
-// opcode table.
+// opcode's source count and class flags cached alongside so execution never
+// consults the opcode table. A loaded program is read-only: any number of
+// simulations may share one.
 func LoadProgram(obj *isa.Object) (*Program, error) {
 	if err := obj.Validate(); err != nil {
 		return nil, err
@@ -109,7 +115,8 @@ func LoadProgram(obj *isa.Object) (*Program, error) {
 				return nil, fmt.Errorf("pe: graph %q pc %d: %w", g.Name, pc, err)
 			}
 			info, _ := isa.Lookup(in.Op)
-			code[pc] = decodedInstr{in: in, info: info, words: n}
+			code[pc] = decodedInstr{in: in, words: n, srcs: uint8(info.Srcs),
+				branch: info.Branch, memory: info.Memory, channel: info.Channel, trap: info.Trap}
 			pc += n
 		}
 		p.graphs[gi] = code
@@ -260,7 +267,7 @@ func (m *Machine) ExecOne(c *Context, now int64) (Outcome, error) {
 		return Outcome{}, fmt.Errorf("pe: context %d: no instruction at graph %d pc %d", c.ID, c.Graph, c.PC)
 	}
 	d := &g[c.PC]
-	in, info := &d.in, &d.info
+	in := &d.in
 	graph, pc, wm := c.Graph, c.PC, m.Stats.WindowMisses
 	m.Stats.Instructions++
 	m.Stats.QueueSum += int64(c.QueueLength())
@@ -282,14 +289,14 @@ func (m *Machine) ExecOne(c *Context, now int64) (Outcome, error) {
 	} else {
 		// Source operands.
 		var v1, v2 int32
-		if info.Srcs >= 1 {
+		if d.srcs >= 1 {
 			v, extra, err := m.readSrc(c, &in.Src1)
 			if err != nil {
 				return Outcome{}, err
 			}
 			v1, cycles = v, cycles+extra
 		}
-		if info.Srcs >= 2 {
+		if d.srcs >= 2 {
 			v, extra, err := m.readSrc(c, &in.Src2)
 			if err != nil {
 				return Outcome{}, err
@@ -302,7 +309,7 @@ func (m *Machine) ExecOne(c *Context, now int64) (Outcome, error) {
 		c.PC += d.words
 
 		switch {
-		case info.Branch:
+		case d.branch:
 			m.Stats.Branches++
 			cycles += m.Params.Branch - m.Params.ALU
 			taken := isa.Truthy(v1)
@@ -312,14 +319,14 @@ func (m *Machine) ExecOne(c *Context, now int64) (Outcome, error) {
 			if taken {
 				c.PC += int(v2)
 			}
-		case info.Memory:
+		case d.memory:
 			m.Stats.MemOps++
 			extra, err := m.execMem(c, in, v1, v2)
 			if err != nil {
 				return Outcome{}, err
 			}
 			cycles += m.Params.Mem + extra
-		case info.Channel:
+		case d.channel:
 			m.Stats.ChannelOps++
 			cycles += m.Params.ChanOp
 			ch = v1
@@ -329,7 +336,7 @@ func (m *Machine) ExecOne(c *Context, now int64) (Outcome, error) {
 				act = ActRecv
 				c.PendDst1, c.PendDst2 = in.Dst1, in.Dst2
 			}
-		case info.Trap:
+		case d.trap:
 			if in.Op == isa.OpFret || in.Op == isa.OpRett {
 				return Outcome{}, fmt.Errorf("pe: context %d: %v outside kernel mode", c.ID, in.Op)
 			}
@@ -353,6 +360,7 @@ func (m *Machine) ExecOne(c *Context, now int64) (Outcome, error) {
 		// Presence-bit stall: window misses fetched from the memory page
 		// each cost Params.Mem beyond the base instruction cycles (§5.2).
 		stall := int(m.Stats.WindowMisses-wm) * m.Params.Mem
+		info, _ := isa.Lookup(in.Op)
 		m.rec.Instr(m.PEID, c.ID, graph, pc, info.Mnemonic, now, cycles, stall)
 	}
 	return Outcome{Cycles: cycles, Act: act, Ch: ch, Val: val, Code: code, Arg: arg}, nil

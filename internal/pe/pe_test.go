@@ -2,6 +2,7 @@ package pe
 
 import (
 	"fmt"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -429,5 +430,37 @@ func TestQPSlotTracksQP(t *testing.T) {
 	}
 	if n := c.RollOut(); n != set || set == 0 || slices.Contains(c.inWindow, true) {
 		t.Fatalf("roll-out after QP writes: %d registers of %d, %v still present", n, set, c.inWindow)
+	}
+}
+
+// hasPointers reports whether a value of type t holds any pointer the
+// garbage collector must trace.
+func hasPointers(t reflect.Type) bool {
+	switch t.Kind() {
+	case reflect.Pointer, reflect.UnsafePointer, reflect.Slice, reflect.Map,
+		reflect.String, reflect.Interface, reflect.Chan, reflect.Func:
+		return true
+	case reflect.Array:
+		return t.Len() > 0 && hasPointers(t.Elem())
+	case reflect.Struct:
+		for i := 0; i < t.NumField(); i++ {
+			if hasPointers(t.Field(i).Type) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// TestDecodedInstrHoldsNoPointers keeps a loaded program's instruction
+// streams out of the collector's scan: servers cache loaded programs for
+// the life of the process, and a pointer-free element type makes each
+// stream a span the mark phase skips.
+func TestDecodedInstrHoldsNoPointers(t *testing.T) {
+	if !hasPointers(reflect.TypeOf(isa.Info{})) {
+		t.Fatal("hasPointers misses isa.Info's mnemonic string")
+	}
+	if hasPointers(reflect.TypeOf(decodedInstr{})) {
+		t.Errorf("decodedInstr holds a pointer: %+v", reflect.TypeOf(decodedInstr{}))
 	}
 }

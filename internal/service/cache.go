@@ -4,10 +4,10 @@ import (
 	"container/list"
 	"sync"
 
-	"queuemachine/internal/compile"
+	"queuemachine/internal/pe"
 )
 
-// CacheStats is a point-in-time snapshot of the artifact cache counters.
+// CacheStats is a point-in-time snapshot of the program cache counters.
 type CacheStats struct {
 	Hits      int64 `json:"hits"`
 	Misses    int64 `json:"misses"`
@@ -16,11 +16,17 @@ type CacheStats struct {
 	Capacity  int   `json:"capacity"`
 }
 
-// artifactCache is a content-addressed LRU of compiled artifacts, keyed by
-// compile.Fingerprint. Artifacts are immutable after compilation and the
-// simulator only reads them, so one cached entry can back any number of
-// concurrent runs.
-type artifactCache struct {
+// programCache is the memory tier: a content-addressed LRU of run-ready
+// programs, keyed by compile.Fingerprint. Whichever tier produced a
+// program — a local compile, the disk tier or a peer — it passes one
+// check on the way in, pe.LoadProgram, which validates the object and
+// decodes its instruction streams once for every later run. The
+// simulator only reads a loaded program, so one cached entry backs any
+// number of concurrent runs and a hit never decodes again. The
+// compiler's front-end structures (AST, IFT, graph info, assembly text)
+// are not kept: only the object program and its decoded streams are
+// needed to answer a compile or a run.
+type programCache struct {
 	mu    sync.Mutex
 	cap   int
 	order *list.List               // front = most recently used
@@ -30,24 +36,24 @@ type artifactCache struct {
 }
 
 type cacheEntry struct {
-	key string
-	art *compile.Artifact
+	key  string
+	prog *pe.Program
 }
 
-func newArtifactCache(capacity int) *artifactCache {
+func newProgramCache(capacity int) *programCache {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &artifactCache{
+	return &programCache{
 		cap:   capacity,
 		order: list.New(),
 		items: make(map[string]*list.Element),
 	}
 }
 
-// get returns the cached artifact for key, promoting it to most recently
+// get returns the cached program for key, promoting it to most recently
 // used. Every call counts as a hit or a miss.
-func (c *artifactCache) get(key string) (*compile.Artifact, bool) {
+func (c *programCache) get(key string) (*pe.Program, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.items[key]
@@ -57,7 +63,7 @@ func (c *artifactCache) get(key string) (*compile.Artifact, bool) {
 	}
 	c.hits++
 	c.order.MoveToFront(el)
-	return el.Value.(*cacheEntry).art, true
+	return el.Value.(*cacheEntry).prog, true
 }
 
 // peek is get without miss accounting: a present entry counts as a hit
@@ -65,7 +71,7 @@ func (c *artifactCache) get(key string) (*compile.Artifact, bool) {
 // uses it so that n coalescing requests record one miss (the flight
 // leader's), not n — a coalesced follower never consulted the cache and
 // must not be charged to it.
-func (c *artifactCache) peek(key string) (*compile.Artifact, bool) {
+func (c *programCache) peek(key string) (*pe.Program, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.items[key]
@@ -74,21 +80,21 @@ func (c *artifactCache) peek(key string) (*compile.Artifact, bool) {
 	}
 	c.hits++
 	c.order.MoveToFront(el)
-	return el.Value.(*cacheEntry).art, true
+	return el.Value.(*cacheEntry).prog, true
 }
 
-// add inserts (or refreshes) an artifact, evicting the least recently used
+// add inserts (or refreshes) a program, evicting the least recently used
 // entry when the cache is full. Concurrent compiles of the same source may
 // both add; the second add is a refresh, not an eviction.
-func (c *artifactCache) add(key string, art *compile.Artifact) {
+func (c *programCache) add(key string, prog *pe.Program) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.items[key]; ok {
-		el.Value.(*cacheEntry).art = art
+		el.Value.(*cacheEntry).prog = prog
 		c.order.MoveToFront(el)
 		return
 	}
-	c.items[key] = c.order.PushFront(&cacheEntry{key: key, art: art})
+	c.items[key] = c.order.PushFront(&cacheEntry{key: key, prog: prog})
 	for len(c.items) > c.cap {
 		oldest := c.order.Back()
 		c.order.Remove(oldest)
@@ -97,7 +103,7 @@ func (c *artifactCache) add(key string, art *compile.Artifact) {
 	}
 }
 
-func (c *artifactCache) stats() CacheStats {
+func (c *programCache) stats() CacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return CacheStats{

@@ -7,21 +7,26 @@ import (
 	"testing"
 
 	"queuemachine/internal/compile"
+	"queuemachine/internal/pe"
 )
 
-// compileFor builds a distinct artifact for cache tests.
-func compileFor(t *testing.T, n int) *compile.Artifact {
+// compileFor builds a distinct loaded program for cache tests.
+func compileFor(t *testing.T, n int) *pe.Program {
 	t.Helper()
 	src := fmt.Sprintf("var v[1]:\nseq\n  v[0] := %d\n", n)
 	art, err := compile.Compile(src, compile.Options{})
 	if err != nil {
 		t.Fatalf("Compile: %v", err)
 	}
-	return art
+	prog, err := pe.LoadProgram(art.Object)
+	if err != nil {
+		t.Fatalf("LoadProgram: %v", err)
+	}
+	return prog
 }
 
 func TestCacheAccounting(t *testing.T) {
-	c := newArtifactCache(2)
+	c := newProgramCache(2)
 	a, b, d := compileFor(t, 1), compileFor(t, 2), compileFor(t, 3)
 
 	if _, ok := c.get("a"); ok {
@@ -49,7 +54,7 @@ func TestCacheAccounting(t *testing.T) {
 }
 
 func TestCacheRefreshIsNotEviction(t *testing.T) {
-	c := newArtifactCache(2)
+	c := newProgramCache(2)
 	a1, a2 := compileFor(t, 1), compileFor(t, 1)
 	c.add("a", a1)
 	c.add("a", a2) // concurrent compilers may both add the same key
@@ -58,13 +63,13 @@ func TestCacheRefreshIsNotEviction(t *testing.T) {
 		t.Errorf("stats after refresh = %+v", st)
 	}
 	if got, _ := c.get("a"); got != a2 {
-		t.Error("refresh did not replace the artifact")
+		t.Error("refresh did not replace the program")
 	}
 }
 
 func TestCacheConcurrent(t *testing.T) {
-	c := newArtifactCache(4)
-	arts := make([]*compile.Artifact, 8)
+	c := newProgramCache(4)
+	arts := make([]*pe.Program, 8)
 	for i := range arts {
 		arts[i] = compileFor(t, i)
 	}
@@ -99,18 +104,18 @@ func TestArtifactForDeterminism(t *testing.T) {
 	}
 	const src = "var v[1]:\nseq\n  v[0] := 42\n"
 	fp := compile.Fingerprint(src, compile.Options{})
-	_, state1, err := s.artifactFor(context.Background(), src, compile.Options{}, fp, true)
+	_, state1, err := s.programFor(context.Background(), src, compile.Options{}, fp, true)
 	if err != nil {
-		t.Fatalf("artifactFor: %v", err)
+		t.Fatalf("programFor: %v", err)
 	}
-	art2, state2, err := s.artifactFor(context.Background(), src, compile.Options{}, fp, true)
+	prog2, state2, err := s.programFor(context.Background(), src, compile.Options{}, fp, true)
 	if err != nil {
-		t.Fatalf("artifactFor: %v", err)
+		t.Fatalf("programFor: %v", err)
 	}
 	if state1 != cacheStateMiss || state2 != cacheStateHit {
 		t.Errorf("cache states = %q, %q; want %q, %q", state1, state2, cacheStateMiss, cacheStateHit)
 	}
-	if art2 == nil {
-		t.Error("cached artifact is nil")
+	if prog2 == nil {
+		t.Error("cached program is nil")
 	}
 }

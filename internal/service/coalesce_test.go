@@ -264,7 +264,7 @@ func TestRetryAfterJitter(t *testing.T) {
 // residency and coherent accounting, under -race.
 func TestCacheEvictionUnderLoad(t *testing.T) {
 	const capacity = 8
-	c := newArtifactCache(capacity)
+	c := newProgramCache(capacity)
 	base := compileFor(t, 0)
 	const goroutines = 16
 	const ops = 500

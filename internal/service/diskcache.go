@@ -10,6 +10,7 @@ import (
 
 	"queuemachine/internal/compile"
 	"queuemachine/internal/isa"
+	"queuemachine/internal/pe"
 )
 
 // DiskStats is a point-in-time snapshot of the disk artifact cache.
@@ -32,7 +33,7 @@ type DiskStats struct {
 // Crash safety: files are written to a temporary name in the same
 // directory and atomically renamed into place, so a reader never
 // observes a partial artifact; leftover temporaries from a crash are
-// swept at open. A file that fails to parse or validate is treated as a
+// swept at open. A file that fails to parse or to load is treated as a
 // miss and deleted — the worst outcome of any disk corruption is one
 // recompile.
 type diskCache struct {
@@ -73,10 +74,12 @@ func (d *diskCache) path(fp string) string {
 	return filepath.Join(d.dir, fp+".json")
 }
 
-// get loads the artifact for fp from disk. Any failure — missing file,
-// parse error, version mismatch, invalid object — is a miss; corrupt
-// files are removed so they fail only once.
-func (d *diskCache) get(fp string) (*compile.Artifact, bool) {
+// get reads the object for fp from disk and loads it with
+// pe.LoadProgram, the check every program passes before the memory tier
+// holds it. Any failure — missing file, parse error, version mismatch,
+// an object that fails to load — is a miss; rejected files are removed
+// so they fail only once.
+func (d *diskCache) get(fp string) (*pe.Program, bool) {
 	blob, err := os.ReadFile(d.path(fp))
 	if err != nil {
 		return nil, false
@@ -90,15 +93,13 @@ func (d *diskCache) get(fp string) (*compile.Artifact, bool) {
 		d.drop(fp)
 		return nil, false
 	}
-	if err := da.Object.Validate(); err != nil {
+	prog, err := pe.LoadProgram(da.Object)
+	if err != nil {
 		d.drop(fp)
 		return nil, false
 	}
 	d.hits.Add(1)
-	// Only the object program survives persistence; the front-end
-	// structures (AST, IFT, graph info) exist to produce it and are not
-	// needed to serve compiles or runs.
-	return &compile.Artifact{Object: da.Object}, true
+	return prog, true
 }
 
 // drop removes a rejected file, charging the error counter.
@@ -107,14 +108,14 @@ func (d *diskCache) drop(fp string) {
 	os.Remove(d.path(fp))
 }
 
-// put persists an artifact. Failures are counted but never surfaced: the
-// disk tier is an optimization, and a request that compiled successfully
-// must not fail because the cache volume is full.
-func (d *diskCache) put(fp string, art *compile.Artifact) {
+// put persists an object program. Failures are counted but never
+// surfaced: the disk tier is an optimization, and a request that compiled
+// successfully must not fail because the cache volume is full.
+func (d *diskCache) put(fp string, obj *isa.Object) {
 	blob, err := json.Marshal(diskArtifact{
 		Toolchain:   compile.ToolchainHash(),
 		Fingerprint: fp,
-		Object:      art.Object,
+		Object:      obj,
 	})
 	if err != nil {
 		d.errors.Add(1)

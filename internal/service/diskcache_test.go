@@ -11,6 +11,8 @@ import (
 	"testing"
 
 	"queuemachine/internal/compile"
+	"queuemachine/internal/isa"
+	"queuemachine/internal/pe"
 )
 
 // swappableServer is an httptest server whose handler can be installed
@@ -40,18 +42,18 @@ func TestDiskCacheRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("openDiskCache: %v", err)
 	}
-	art := compileFor(t, 7)
+	prog := compileFor(t, 7)
 	const fp = "abc123"
 	if _, ok := d.get(fp); ok {
 		t.Fatal("hit on empty disk cache")
 	}
-	d.put(fp, art)
+	d.put(fp, prog.Obj)
 	got, ok := d.get(fp)
 	if !ok {
-		t.Fatal("artifact not readable back")
+		t.Fatal("program not readable back")
 	}
-	want, _ := json.Marshal(art.Object)
-	have, _ := json.Marshal(got.Object)
+	want, _ := json.Marshal(prog.Obj)
+	have, _ := json.Marshal(got.Obj)
 	if string(want) != string(have) {
 		t.Error("object changed through disk round trip")
 	}
@@ -66,7 +68,7 @@ func TestDiskCacheRejectsCorruptAndStale(t *testing.T) {
 	if err != nil {
 		t.Fatalf("openDiskCache: %v", err)
 	}
-	art := compileFor(t, 1)
+	obj := compileFor(t, 1).Obj
 
 	// Corrupt JSON fails once, then the file is gone.
 	if err := os.WriteFile(d.path("bad"), []byte("{not json"), 0o644); err != nil {
@@ -83,7 +85,7 @@ func TestDiskCacheRejectsCorruptAndStale(t *testing.T) {
 	blob, _ := json.Marshal(diskArtifact{
 		Toolchain:   "queuemachine/old-toolchain",
 		Fingerprint: "stale",
-		Object:      art.Object,
+		Object:      obj,
 	})
 	if err := os.WriteFile(d.path("stale"), blob, 0o644); err != nil {
 		t.Fatal(err)
@@ -97,7 +99,7 @@ func TestDiskCacheRejectsCorruptAndStale(t *testing.T) {
 	blob, _ = json.Marshal(diskArtifact{
 		Toolchain:   compile.ToolchainHash(),
 		Fingerprint: "other",
-		Object:      art.Object,
+		Object:      obj,
 	})
 	if err := os.WriteFile(d.path("mismatch"), blob, 0o644); err != nil {
 		t.Fatal(err)
@@ -107,6 +109,54 @@ func TestDiskCacheRejectsCorruptAndStale(t *testing.T) {
 	}
 	if st := d.stats(); st.Errors != 3 {
 		t.Errorf("errors = %d, want 3", st.Errors)
+	}
+}
+
+// undecodable returns a copy of obj whose entry graph ends in a word
+// with no opcode: the object still marshals and parses, but
+// pe.LoadProgram refuses it. obj itself is not modified.
+func undecodable(t *testing.T, obj *isa.Object) *isa.Object {
+	t.Helper()
+	op := isa.Opcode(1<<6 - 1)
+	for ; op > 0; op-- {
+		if _, ok := isa.Lookup(op); !ok {
+			break
+		}
+	}
+	if _, ok := isa.Lookup(op); ok {
+		t.Fatal("every opcode is assigned")
+	}
+	bad := *obj
+	bad.Graphs = append([]isa.GraphCode(nil), obj.Graphs...)
+	g := &bad.Graphs[bad.Entry]
+	g.Code = append(append([]uint32(nil), g.Code...), uint32(op)<<26)
+	if _, err := pe.LoadProgram(&bad); err == nil {
+		t.Fatal("undecodable object loads")
+	}
+	return &bad
+}
+
+// TestDiskCacheRejectsUndecodable: a file that parses and carries the
+// right toolchain and fingerprint, but whose object fails
+// pe.LoadProgram, is a miss, counts as an error and is removed.
+func TestDiskCacheRejectsUndecodable(t *testing.T) {
+	d, err := openDiskCache(t.TempDir())
+	if err != nil {
+		t.Fatalf("openDiskCache: %v", err)
+	}
+	const fp = "undecodable"
+	d.put(fp, undecodable(t, compileFor(t, 1).Obj))
+	if _, err := os.Stat(d.path(fp)); err != nil {
+		t.Fatalf("file not written: %v", err)
+	}
+	if _, ok := d.get(fp); ok {
+		t.Error("undecodable object served from disk")
+	}
+	if _, err := os.Stat(d.path(fp)); !os.IsNotExist(err) {
+		t.Error("undecodable file not removed")
+	}
+	if st := d.stats(); st.Hits != 0 || st.Errors != 1 || st.Entries != 0 {
+		t.Errorf("stats = %+v, want 0 hits, 1 error, 0 entries", st)
 	}
 }
 

@@ -17,6 +17,7 @@ import (
 	"queuemachine/internal/compile"
 	"queuemachine/internal/fleet"
 	"queuemachine/internal/isa"
+	"queuemachine/internal/pe"
 	"queuemachine/internal/profile"
 	"queuemachine/internal/sched"
 	"queuemachine/internal/sim"
@@ -204,21 +205,22 @@ const (
 	cacheStateCoalesced = "coalesced"
 )
 
-// materialize produces the artifact for a fingerprint that already
+// materialize produces the program for a fingerprint that already
 // missed the in-memory cache, in cost order: the disk tier, then the
 // owning peer (when a fleet is configured, this replica is not the
 // owner, and the request did not itself arrive from a peer), then a
-// local compile. Whatever produced the artifact, it lands in the memory
-// cache; local compiles are also persisted to disk. Compile failures are
-// the client's fault, not the server's: 422.
-func (s *Service) materialize(ctx context.Context, src string, opts compile.Options, fp string, allowPeer bool) (*compile.Artifact, string, error) {
+// local compile. Whatever produced the object, it is loaded
+// (pe.LoadProgram) once and lands in the memory cache as a run-ready
+// program; local compiles are also persisted to disk. Compile failures are the client's fault, not
+// the server's: 422.
+func (s *Service) materialize(ctx context.Context, src string, opts compile.Options, fp string, allowPeer bool) (*pe.Program, string, error) {
 	if s.disk != nil {
 		_, ds := xtrace.StartSpan(ctx, "disk.read")
-		art, ok := s.disk.get(fp)
+		prog, ok := s.disk.get(fp)
 		ds.End()
 		if ok {
-			s.cache.add(fp, art)
-			return art, cacheStateDisk, nil
+			s.cache.add(fp, prog)
+			return prog, cacheStateDisk, nil
 		}
 	}
 	if s.ring != nil && allowPeer {
@@ -229,43 +231,54 @@ func (s *Service) materialize(ctx context.Context, src string, opts compile.Opti
 			pctx, ps := xtrace.StartSpan(ctx, "peer.fetch")
 			ps.SetAttr("peer", owner)
 			obj, err := s.peers.FetchCompile(pctx, owner, src, opts)
+			var prog *pe.Program
+			if err == nil {
+				prog, err = pe.LoadProgram(obj)
+			}
 			if err == nil {
 				ps.End()
 				s.peerHits.Add(1)
-				art := &compile.Artifact{Object: obj}
-				s.cache.add(fp, art)
-				return art, cacheStatePeer, nil
+				s.cache.add(fp, prog)
+				return prog, cacheStatePeer, nil
 			}
-			// A dead or slow owner degrades to a local compile; the
-			// request must not fail because a peer did.
+			// A dead or slow owner, or an object that fails to load,
+			// degrades to a local compile; the request must not fail
+			// because a peer did.
 			ps.EndErr(err)
 			s.peerErrors.Add(1)
 		}
 	}
 	_, cs := xtrace.StartSpan(ctx, "compile")
+	// Only the object program outlives this call; the rest of the
+	// artifact (AST, IFT, graph info, assembly text) is garbage as soon
+	// as it returns.
 	art, err := compile.Compile(src, opts)
+	var prog *pe.Program
+	if err == nil {
+		prog, err = pe.LoadProgram(art.Object)
+	}
 	if err != nil {
 		herr := &httpError{http.StatusUnprocessableEntity, err.Error()}
 		cs.EndErr(herr)
 		return nil, cacheStateMiss, herr
 	}
 	cs.End()
-	s.cache.add(fp, art)
+	s.cache.add(fp, prog)
 	if s.disk != nil {
-		s.disk.put(fp, art)
+		s.disk.put(fp, prog.Obj)
 	}
-	return art, cacheStateMiss, nil
+	return prog, cacheStateMiss, nil
 }
 
-// artifactFor resolves src's artifact through every cache tier. The
+// programFor resolves src's program through every cache tier. The
 // in-memory lookup counts a hit or a miss exactly once per request that
 // reaches it; coalesced followers never get here, which is what keeps
 // them out of the cache accounting.
-func (s *Service) artifactFor(ctx context.Context, src string, opts compile.Options, fp string, allowPeer bool) (*compile.Artifact, string, error) {
+func (s *Service) programFor(ctx context.Context, src string, opts compile.Options, fp string, allowPeer bool) (*pe.Program, string, error) {
 	ctx, span := xtrace.StartSpan(ctx, "artifact")
-	art, state, err := func() (*compile.Artifact, string, error) {
-		if art, ok := s.cache.get(fp); ok {
-			return art, cacheStateHit, nil
+	prog, state, err := func() (*pe.Program, string, error) {
+		if prog, ok := s.cache.get(fp); ok {
+			return prog, cacheStateHit, nil
 		}
 		return s.materialize(ctx, src, opts, fp, allowPeer)
 	}()
@@ -275,7 +288,7 @@ func (s *Service) artifactFor(ctx context.Context, src string, opts compile.Opti
 	} else {
 		span.End()
 	}
-	return art, state, err
+	return prog, state, err
 }
 
 // allowPeer reports whether this request may be forwarded to a peer
@@ -311,9 +324,9 @@ func (s *Service) handleCompile(w http.ResponseWriter, r *http.Request) {
 	// cannot be shed by admission control. peek (not get) so an absent
 	// entry is not charged as a miss here — the flight leader's counting
 	// lookup below decides hit or miss exactly once per coalition.
-	if art, ok := s.cache.peek(fp); ok {
+	if prog, ok := s.cache.peek(fp); ok {
 		root.SetAttr("cache", cacheStateHit)
-		resp := newCompileResponse(fp, cacheStateHit, art)
+		resp := newCompileResponse(fp, cacheStateHit, prog.Obj)
 		w.Header().Set(cacheHeader, resp.CacheState)
 		writeJSON(w, http.StatusOK, resp)
 		return
@@ -324,11 +337,11 @@ func (s *Service) handleCompile(w http.ResponseWriter, r *http.Request) {
 	flightStart := time.Now()
 	v, err, shared, leader := s.flights.do(ctx, "compile\x00"+fp, func(ctx context.Context) (any, error) {
 		return s.execute(ctx, func(ctx context.Context) (any, error) {
-			art, state, err := s.artifactFor(ctx, req.Source, opts, fp, peerOK)
+			prog, state, err := s.programFor(ctx, req.Source, opts, fp, peerOK)
 			if err != nil {
 				return nil, err
 			}
-			return newCompileResponse(fp, state, art), nil
+			return newCompileResponse(fp, state, prog.Obj), nil
 		})
 	})
 	if shared {
@@ -352,15 +365,16 @@ func (s *Service) handleCompile(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, v)
 }
 
-// newCompileResponse projects an artifact into the compile wire response.
-func newCompileResponse(fp, state string, art *compile.Artifact) *compileResponse {
+// newCompileResponse projects an object program into the compile wire
+// response.
+func newCompileResponse(fp, state string, obj *isa.Object) *compileResponse {
 	return &compileResponse{
 		Fingerprint: fp,
 		Cached:      state != cacheStateMiss,
 		CacheState:  state,
-		Graphs:      len(art.Object.Graphs),
-		DataWords:   art.Object.DataWords,
-		Object:      art.Object,
+		Graphs:      len(obj.Graphs),
+		DataWords:   obj.DataWords,
+		Object:      obj,
 	}
 }
 
@@ -465,16 +479,15 @@ func (s *Service) handleRun(w http.ResponseWriter, r *http.Request) {
 	v, err, shared, leader := s.flights.do(ctx, key.String(), func(ctx context.Context) (any, error) {
 		return s.execute(ctx, func(ctx context.Context) (any, error) {
 			resp := &runResponse{}
-			obj := req.Object
-			if obj == nil {
-				art, state, err := s.artifactFor(ctx, req.Source, opts, key.Fingerprint, peerOK)
+			var prog *pe.Program
+			if req.Source != "" {
+				p, state, err := s.programFor(ctx, req.Source, opts, key.Fingerprint, peerOK)
 				if err != nil {
 					return nil, err
 				}
-				obj, resp.Fingerprint = art.Object, key.Fingerprint
+				prog, resp.Fingerprint = p, key.Fingerprint
 				resp.Cached, resp.CacheState = state != cacheStateMiss, state
 			}
-			var profiler *profile.Profiler
 			// The simulate span is the wall-clock face of the run: its
 			// attributes name the same execution the simulated-machine
 			// artifacts describe (internal/trace timelines, the
@@ -483,24 +496,7 @@ func (s *Service) handleRun(w http.ResponseWriter, r *http.Request) {
 			sctx, sspan := xtrace.StartSpan(ctx, "simulate")
 			sspan.SetAttr("pes", strconv.Itoa(pes))
 			simStart := time.Now()
-			var res *sim.Result
-			var err error
-			if req.Profile {
-				var sys *sim.System
-				sys, err = sim.New(obj, pes, params)
-				if err == nil {
-					profiler = profile.New(pes)
-					names := make([]string, len(obj.Graphs))
-					for i, g := range obj.Graphs {
-						names[i] = g.Name
-					}
-					profiler.SetGraphNames(names)
-					sys.SetRecorder(profiler)
-					res, err = sys.RunContext(sctx)
-				}
-			} else {
-				res, err = sim.RunContext(sctx, obj, pes, params)
-			}
+			res, profiler, err := simulate(sctx, prog, req.Object, pes, params, req.Profile)
 			simTime := time.Since(simStart)
 			if err != nil {
 				sspan.EndErr(err)
@@ -557,6 +553,36 @@ func (s *Service) handleRun(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	writeJSON(w, http.StatusOK, v)
+}
+
+// simulate runs one request's simulation. prog is the shared cached
+// program of a source request: the machine is built over it and nothing
+// is decoded again. A request that supplied its object instead (prog
+// nil) loads it for this run alone, as it has no fingerprint to cache it
+// under. The profiler is non-nil only when profiled.
+func simulate(ctx context.Context, prog *pe.Program, obj *isa.Object, pes int, params sim.Params, profiled bool) (*sim.Result, *profile.Profiler, error) {
+	if prog == nil {
+		var err error
+		if prog, err = pe.LoadProgram(obj); err != nil {
+			return nil, nil, err
+		}
+	}
+	sys, err := sim.NewProgram(prog, pes, params)
+	if err != nil {
+		return nil, nil, err
+	}
+	var profiler *profile.Profiler
+	if profiled {
+		profiler = profile.New(pes)
+		names := make([]string, len(prog.Obj.Graphs))
+		for i, g := range prog.Obj.Graphs {
+			names[i] = g.Name
+		}
+		profiler.SetGraphNames(names)
+		sys.SetRecorder(profiler)
+	}
+	res, err := sys.RunContext(ctx)
+	return res, profiler, err
 }
 
 func (s *Service) handleHealthz(w http.ResponseWriter, _ *http.Request) {

@@ -17,12 +17,13 @@
 //	                Chrome trace-event format with ?id=T&format=chrome)
 //	GET  /debug/pprof/*  runtime profiles, only when Config.EnablePprof
 //
-// Compiled artifacts are keyed by compile.Fingerprint — the SHA-256 of
-// (source, options) — so a repeated compile of identical source is served
-// from the in-memory LRU without touching the compiler. Overload is
-// explicit: when the admission queue is full the service answers 429 with
-// a Retry-After header instead of queueing unbounded work, and every job
-// runs under a deadline wired through sim.RunContext so a cancelled or
+// Compiled programs are keyed by compile.Fingerprint — the SHA-256 of
+// (source, options) — and held in an in-memory LRU already loaded for the
+// simulator, so a repeated compile or run of identical source touches
+// neither the compiler nor the program loader. Overload is explicit: when
+// the admission queue is full the service answers 429 with a Retry-After
+// header instead of queueing unbounded work, and every job runs under a
+// deadline wired through the simulator's RunContext so a cancelled or
 // expired request aborts the event loop between events.
 package service
 
@@ -51,7 +52,7 @@ type Config struct {
 	// QueueDepth bounds the admission queue of jobs waiting for a worker;
 	// beyond it requests are rejected with 429 (default: 4×Workers).
 	QueueDepth int
-	// CacheEntries is the artifact cache capacity (default: 128).
+	// CacheEntries is the program cache capacity (default: 128).
 	CacheEntries int
 	// MaxBodyBytes bounds request bodies (default: 1 MiB).
 	MaxBodyBytes int64
@@ -138,7 +139,7 @@ func (c Config) withDefaults() Config {
 // Service is one compile-and-simulate server instance.
 type Service struct {
 	cfg     Config
-	cache   *artifactCache
+	cache   *programCache
 	disk    *diskCache  // nil without Config.CacheDir
 	ring    *fleet.Ring // nil without Config.Peers
 	peers   *fleet.Client
@@ -184,7 +185,7 @@ func New(cfg Config) (*Service, error) {
 	cfg = cfg.withDefaults()
 	s := &Service{
 		cfg:   cfg,
-		cache: newArtifactCache(cfg.CacheEntries),
+		cache: newProgramCache(cfg.CacheEntries),
 		pool:  newPool(cfg.Workers, cfg.QueueDepth),
 		mux:   http.NewServeMux(),
 		start: time.Now(),

@@ -465,3 +465,62 @@ func TestConcurrentRuns(t *testing.T) {
 		t.Errorf("cache entries = %d, want 1 (all runs share one artifact)", st.Entries)
 	}
 }
+
+// TestRunHitsShareOneLoadedProgram: concurrent /run hits on one
+// fingerprint, profiled ones included, all simulate the one program the
+// memory tier loaded, and none of them decodes it again. After warm-up
+// the cached program's object is swapped for an undecodable copy: a hit
+// that went back through pe.LoadProgram would fail with 422, while the
+// decoded streams the runs actually execute are untouched.
+func TestRunHitsShareOneLoadedProgram(t *testing.T) {
+	svc, ts := newTestServer(t, Config{Workers: 4, QueueDepth: 64})
+	if code, raw := post(t, ts.URL+"/compile", compileRequest{Source: sumSquares}, nil); code != http.StatusOK {
+		t.Fatalf("warm-up compile: %d %s", code, raw)
+	}
+	fp := compile.Fingerprint(sumSquares, compile.Options{})
+	prog, ok := svc.cache.peek(fp)
+	if !ok {
+		t.Fatal("compiled program not cached")
+	}
+	obj := prog.Obj
+	prog.Obj = undecodable(t, obj)
+	want := map[int]int64{}
+	for pes := 1; pes <= 4; pes++ {
+		res, err := sim.Run(obj, pes, sim.DefaultParams())
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[pes] = res.Cycles
+	}
+
+	const n = 24
+	errs := make(chan error, n)
+	for i := 0; i < n; i++ {
+		go func(i int) {
+			var got runResponse
+			req := runRequest{Source: sumSquares, PEs: 1 + i%4, Profile: i%3 == 0}
+			code, raw := post(t, ts.URL+"/run", req, &got)
+			switch {
+			case code != http.StatusOK:
+				errs <- fmt.Errorf("run %d: %d %s", i, code, raw)
+			case got.Stats.Cycles != want[req.PEs]:
+				errs <- fmt.Errorf("run %d on %d PEs: %d cycles, want %d", i, req.PEs, got.Stats.Cycles, want[req.PEs])
+			case req.Profile && got.Stats.Profile == nil:
+				errs <- fmt.Errorf("run %d: profile missing", i)
+			default:
+				errs <- nil
+			}
+		}(i)
+	}
+	for i := 0; i < n; i++ {
+		if err := <-errs; err != nil {
+			t.Error(err)
+		}
+	}
+	if again, _ := svc.cache.peek(fp); again != prog {
+		t.Error("the cached program instance changed under hits")
+	}
+	if st := svc.cache.stats(); st.Misses != 1 || st.Entries != 1 {
+		t.Errorf("cache stats = %+v, want the warm-up's one miss and one entry", st)
+	}
+}

@@ -240,45 +240,48 @@ func TestIFork(t *testing.T) {
 	}
 }
 
-// TestRunErrors: malformed programs and machine sizes are rejected, an
-// oversized machine with a ConfigError naming the pes field.
-func TestRunErrors(t *testing.T) {
-	cases := []struct {
-		name   string
-		src    string
-		pes    int
-		config bool   // the error must be a ConfigError on "pes"
-		msg    string // when set, the error must contain it
-	}{
-		{name: "zero-pes", src: singleContext, pes: 0},
-		{name: "machine-size-cap", src: singleContext, pes: MaxPEs + 1, config: true},
-		// Unknown kernel entry point.
-		{name: "unknown-trap", pes: 1, src: `
+// runErrorCases are programs and machine sizes the simulator must
+// refuse with an error.
+var runErrorCases = []struct {
+	name   string
+	src    string
+	pes    int
+	config bool   // the error must be a ConfigError on "pes"
+	msg    string // when set, the error must contain it
+}{
+	{name: "zero-pes", src: singleContext, pes: 0},
+	{name: "machine-size-cap", src: singleContext, pes: MaxPEs + 1, config: true},
+	// Unknown kernel entry point.
+	{name: "unknown-trap", pes: 1, src: `
 .graph main queue=32
 	trap #9,#0
 	trap #0,#0
 `},
-		// Fork of an out-of-range graph.
-		{name: "wild-fork", pes: 1, src: `
+	// Fork of an out-of-range graph.
+	{name: "wild-fork", pes: 1, src: `
 .graph main queue=32
 	trap #1,#7 :r17,r18
 	trap #0,#0
 `},
-		// Invalid channel.
-		{name: "channel-0", pes: 1, src: `
+	// Invalid channel.
+	{name: "channel-0", pes: 1, src: `
 .graph main queue=32
 	send #0,#1
 	trap #0,#0
 `},
-		// A channel the kernel never allocated: the message caches
-		// index their tables by allocated channel ids.
-		{name: "unallocated-channel", pes: 2, msg: "invalid channel 99", src: `
+	// A channel the kernel never allocated: the message caches
+	// index their tables by allocated channel ids.
+	{name: "unallocated-channel", pes: 2, msg: "invalid channel 99", src: `
 .graph main queue=32
 	send #99,#1
 	trap #0,#0
 `},
-	}
-	for _, tc := range cases {
+}
+
+// TestRunErrors: malformed programs and machine sizes are rejected, an
+// oversized machine with a ConfigError naming the pes field.
+func TestRunErrors(t *testing.T) {
+	for _, tc := range runErrorCases {
 		t.Run(tc.name, func(t *testing.T) {
 			_, err := Run(assemble(t, tc.src), tc.pes, DefaultParams())
 			if err == nil {

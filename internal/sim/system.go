@@ -102,8 +102,20 @@ type System struct {
 }
 
 // New builds a simulation of the object program on numPEs processing
-// elements.
+// elements: pe.LoadProgram followed by NewProgram.
 func New(obj *isa.Object, numPEs int, params Params) (*System, error) {
+	prog, err := pe.LoadProgram(obj)
+	if err != nil {
+		return nil, err
+	}
+	return NewProgram(prog, numPEs, params)
+}
+
+// NewProgram builds a simulation of an already loaded program on numPEs
+// processing elements. The simulation only reads prog, so one loaded
+// program can back any number of simulations, concurrent ones included:
+// a server loads a program once and runs it many times.
+func NewProgram(prog *pe.Program, numPEs int, params Params) (*System, error) {
 	if numPEs < 1 {
 		return nil, fmt.Errorf("sim: need at least one processing element")
 	}
@@ -111,10 +123,7 @@ func New(obj *isa.Object, numPEs int, params Params) (*System, error) {
 		return nil, &ConfigError{Field: "pes", Reason: fmt.Sprintf(
 			"%d processing elements exceed the supported maximum of %d", numPEs, MaxPEs)}
 	}
-	prog, err := pe.LoadProgram(obj)
-	if err != nil {
-		return nil, err
-	}
+	obj := prog.Obj
 	partitions := params.Partitions
 	if partitions == 0 {
 		partitions = defaultPartitions(numPEs)
