@@ -3,7 +3,6 @@ package fleet
 import (
 	"fmt"
 	"testing"
-	"time"
 )
 
 func testNodes(n int) []string {
@@ -119,55 +118,5 @@ func TestRingAllDead(t *testing.T) {
 	}
 	if r.SetAlive("http://not-a-member", true) {
 		t.Error("SetAlive accepted a non-member")
-	}
-}
-
-func TestHistogramQuantiles(t *testing.T) {
-	h := NewLatencyHistogram()
-	// 1000 samples at 1ms, 10 at 100ms: p50 near 1ms, p999 near 100ms.
-	for i := 0; i < 1000; i++ {
-		h.Observe(time.Millisecond)
-	}
-	for i := 0; i < 10; i++ {
-		h.Observe(100 * time.Millisecond)
-	}
-	if n := h.Count(); n != 1010 {
-		t.Fatalf("Count = %d", n)
-	}
-	p50 := h.Quantile(0.5)
-	if p50 < 500*time.Microsecond || p50 > 2*time.Millisecond {
-		t.Errorf("p50 = %v, want ~1ms", p50)
-	}
-	p999 := h.Quantile(0.999)
-	if p999 < 50*time.Millisecond || p999 > 200*time.Millisecond {
-		t.Errorf("p999 = %v, want ~100ms", p999)
-	}
-	if max := h.Max(); max < 100*time.Millisecond || max > 101*time.Millisecond {
-		t.Errorf("max = %v", max)
-	}
-	s := h.Snapshot()
-	if s.Count != 1010 || s.P50Seconds <= 0 || s.P999Seconds < s.P50Seconds {
-		t.Errorf("snapshot = %+v", s)
-	}
-	if len(s.Buckets) == 0 || s.Buckets[len(s.Buckets)-1].Cumulative < 1000 {
-		t.Errorf("snapshot buckets truncated wrongly: %d buckets", len(s.Buckets))
-	}
-	// Cumulative curve is monotone.
-	var prev int64
-	for _, b := range s.Buckets {
-		if b.Cumulative < prev {
-			t.Fatalf("bucket curve not monotone at le=%g", b.UpperSeconds)
-		}
-		prev = b.Cumulative
-	}
-}
-
-func TestHistogramEmpty(t *testing.T) {
-	h := NewLatencyHistogram()
-	if h.Quantile(0.99) != 0 || h.Mean() != 0 || h.Max() != 0 {
-		t.Error("empty histogram reports non-zero statistics")
-	}
-	if s := h.Snapshot(); s.Count != 0 || s.Buckets != nil {
-		t.Errorf("empty snapshot = %+v", s)
 	}
 }

@@ -27,15 +27,15 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"queuemachine/internal/compile"
 	"queuemachine/internal/fleet"
+	"queuemachine/internal/metrics"
 	"queuemachine/internal/xtrace"
 )
 
@@ -99,13 +99,13 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// replicaState is the gate's account of one replica.
+// replicaState is the gate's account of one replica; the counters and
+// the histogram are handles on the gate's metrics registry.
 type replicaState struct {
-	requests  atomic.Int64 // proxied requests answered by this replica
-	server5xx atomic.Int64 // of those, 5xx responses
-	transport atomic.Int64 // connect/read failures (failed over)
-	healthy   atomic.Bool
-	latency   *fleet.Histogram
+	requests  *metrics.Counter // proxied requests answered by this replica
+	server5xx *metrics.Counter // of those, 5xx responses
+	transport *metrics.Counter // connect/read failures (failed over)
+	latency   *metrics.Histogram
 }
 
 // Gate is one front-proxy instance.
@@ -120,8 +120,9 @@ type Gate struct {
 	tracer   *xtrace.Tracer
 	traces   *xtrace.Recorder
 	slo      *xtrace.SLOTracker // nil without Config.SLOs
+	metrics  *metrics.Registry  // behind /metrics
 
-	requests, failovers, unrouted atomic.Int64
+	requests, failovers, unrouted *metrics.Counter
 }
 
 // New builds a gate over the replica set. It fails only on an empty or
@@ -131,16 +132,10 @@ func New(cfg Config) (*Gate, error) {
 	if len(cfg.Replicas) == 0 {
 		return nil, errors.New("gate: no replicas configured")
 	}
-	seen := make(map[string]bool, len(cfg.Replicas))
-	states := make(map[string]*replicaState, len(cfg.Replicas))
-	for _, r := range cfg.Replicas {
-		if r == "" || seen[r] {
+	for i, r := range cfg.Replicas {
+		if r == "" || slices.Contains(cfg.Replicas[:i], r) {
 			return nil, fmt.Errorf("gate: empty or duplicate replica %q", r)
 		}
-		seen[r] = true
-		st := &replicaState{latency: fleet.NewLatencyHistogram()}
-		st.healthy.Store(true) // optimistic until the first probe
-		states[r] = st
 	}
 	g := &Gate{
 		cfg:      cfg,
@@ -149,7 +144,8 @@ func New(cfg Config) (*Gate, error) {
 		proxy:    &http.Client{Timeout: cfg.ProxyTimeout},
 		mux:      http.NewServeMux(),
 		start:    time.Now(),
-		replicas: states,
+		replicas: make(map[string]*replicaState, len(cfg.Replicas)),
+		metrics:  metrics.NewRegistry(),
 		traces: xtrace.NewRecorder(xtrace.RecorderConfig{
 			Capacity:      cfg.TraceCapacity,
 			SlowThreshold: cfg.TraceSlow,
@@ -157,6 +153,7 @@ func New(cfg Config) (*Gate, error) {
 		slo: xtrace.NewSLOTracker(cfg.SLOs),
 	}
 	g.tracer = xtrace.NewTracer(cfg.Process, g.traces)
+	g.declareMetrics()
 	g.mux.HandleFunc("POST /compile", func(w http.ResponseWriter, r *http.Request) {
 		g.handleProxy(w, r, "/compile")
 	})
@@ -165,9 +162,45 @@ func New(cfg Config) (*Gate, error) {
 	})
 	g.mux.HandleFunc("GET /healthz", g.handleHealthz)
 	g.mux.HandleFunc("GET /statsz", g.handleStatsz)
-	g.mux.HandleFunc("GET /metrics", g.handleMetrics)
+	g.mux.Handle("GET /metrics", g.metrics)
 	g.mux.HandleFunc("GET /debugz/traces", g.handleTraces)
 	return g, nil
+}
+
+// declareMetrics registers the gate's families, creating the replica
+// states and the counters the proxy path increments; Snapshot reads the
+// same handles, so /statsz and /metrics cannot disagree.
+func (g *Gate) declareMetrics() {
+	reg := g.metrics
+	g.requests = reg.Counter("qgate_requests_total", "Requests accepted by the gate.")
+	g.failovers = reg.Counter("qgate_failovers_total", "Proxy attempts re-routed past a dead replica.")
+	g.unrouted = reg.Counter("qgate_unrouted_total", "Requests no replica could be reached for (502).")
+	reg.Gauge("qgate_live_replicas", "Replicas currently on the ring.",
+		func() float64 { return float64(g.ring.LiveCount()) })
+	for _, url := range slices.Sorted(slices.Values(g.cfg.Replicas)) {
+		g.replicas[url] = &replicaState{
+			requests: reg.Counter("qgate_replica_requests_total",
+				"Proxied requests answered, by replica.", "replica", url),
+			server5xx: reg.Counter("qgate_replica_5xx_total",
+				"Proxied 5xx responses, by replica.", "replica", url),
+			transport: reg.Counter("qgate_replica_transport_errors_total",
+				"Transport failures, by replica.", "replica", url),
+			latency: reg.Histogram("qgate_replica_seconds",
+				"Proxied request latency, by replica.", metrics.LatencyBounds(), "replica", url),
+		}
+		reg.Gauge("qgate_replica_healthy", "1 while the replica passes health checks.", func() float64 {
+			if g.ring.Alive(url) {
+				return 1
+			}
+			return 0
+		}, "replica", url)
+	}
+	// The fleet aggregate is the replicas' histograms merged, so the two
+	// sets of series always sum consistently.
+	reg.HistogramFunc("qgate_fleet_seconds",
+		"Proxied request latency across all replicas (merged).", g.fleetLatency)
+	g.slo.Register(reg, "qgate")
+	g.traces.Register(reg, "qgate")
 }
 
 // Handler is the gate's HTTP interface.
@@ -195,14 +228,13 @@ func (g *Gate) Start(ctx context.Context) {
 // checkAll probes every replica concurrently and updates ring liveness.
 func (g *Gate) checkAll(ctx context.Context) {
 	var wg sync.WaitGroup
-	for url, st := range g.replicas {
+	for url := range g.replicas {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			probeCtx, cancel := context.WithTimeout(ctx, g.cfg.HealthTimeout)
 			defer cancel()
 			alive := g.probe.CheckHealth(probeCtx, url) == nil
-			st.healthy.Store(alive)
 			g.ring.SetAlive(url, alive)
 		}()
 	}
@@ -240,7 +272,7 @@ func shardKey(body []byte) string {
 }
 
 func (g *Gate) handleProxy(w http.ResponseWriter, r *http.Request, path string) {
-	g.requests.Add(1)
+	g.requests.Inc()
 	start := time.Now()
 	status := &statusWriter{ResponseWriter: w}
 	defer func() {
@@ -277,7 +309,7 @@ func (g *Gate) handleProxy(w http.ResponseWriter, r *http.Request, path string) 
 	}
 	for i, replica := range owners {
 		if i > 0 {
-			g.failovers.Add(1)
+			g.failovers.Inc()
 		}
 		// Each attempt is its own span: a mid-request failover leaves two
 		// routing spans under one trace, the dead replica's marked failed.
@@ -288,7 +320,7 @@ func (g *Gate) handleProxy(w http.ResponseWriter, r *http.Request, path string) 
 			return // client gone; retrying serves nobody
 		}
 	}
-	g.unrouted.Add(1)
+	g.unrouted.Inc()
 	err = errors.New("no replica reachable")
 	root.SetError(err)
 	writeJSON(status, http.StatusBadGateway, errorDoc(ctx, err.Error()))
@@ -355,7 +387,7 @@ func (g *Gate) tryReplica(ctx context.Context, w http.ResponseWriter, r *http.Re
 	req, err := http.NewRequestWithContext(r.Context(), http.MethodPost,
 		replica+path, bytes.NewReader(body))
 	if err != nil {
-		st.transport.Add(1)
+		st.transport.Inc()
 		span.EndErr(err)
 		return false
 	}
@@ -364,17 +396,16 @@ func (g *Gate) tryReplica(ctx context.Context, w http.ResponseWriter, r *http.Re
 	start := time.Now()
 	resp, err := g.proxy.Do(req)
 	if err != nil {
-		st.transport.Add(1)
-		st.healthy.Store(false)
+		st.transport.Inc()
 		g.ring.SetAlive(replica, false)
 		span.EndErr(err)
 		return false
 	}
 	defer resp.Body.Close()
-	st.requests.Add(1)
+	st.requests.Inc()
 	st.latency.Observe(time.Since(start))
 	if resp.StatusCode >= 500 {
-		st.server5xx.Add(1)
+		st.server5xx.Inc()
 	}
 	h := w.Header()
 	for k, vv := range resp.Header {
@@ -434,7 +465,11 @@ func (g *Gate) handleTraces(w http.ResponseWriter, r *http.Request) {
 	for _, s := range spans {
 		seen[s.ID] = true
 	}
-	for _, doc := range g.fetchTraces(r.Context(), id) {
+	for _, blob := range g.fetchLive(r.Context(), "/debugz/traces?id="+string(id), 4<<20) {
+		var doc replicaTrace
+		if json.Unmarshal(blob, &doc) != nil {
+			continue
+		}
 		for _, s := range doc.Spans {
 			if !seen[s.ID] {
 				seen[s.ID] = true
@@ -456,47 +491,6 @@ type replicaTrace struct {
 	Spans []xtrace.Span `json:"spans"`
 }
 
-// fetchTraces asks every healthy replica for its spans under id. A
-// replica without the trace answers 404 and contributes nothing.
-func (g *Gate) fetchTraces(ctx context.Context, id xtrace.TraceID) []replicaTrace {
-	var mu sync.Mutex
-	var docs []replicaTrace
-	var wg sync.WaitGroup
-	for url, rs := range g.replicas {
-		if !rs.healthy.Load() {
-			continue
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			reqCtx, cancel := context.WithTimeout(ctx, g.cfg.HealthTimeout)
-			defer cancel()
-			req, err := http.NewRequestWithContext(reqCtx, http.MethodGet,
-				url+"/debugz/traces?id="+string(id), nil)
-			if err != nil {
-				return
-			}
-			resp, err := g.proxy.Do(req)
-			if err != nil {
-				return
-			}
-			defer resp.Body.Close()
-			if resp.StatusCode != http.StatusOK {
-				return
-			}
-			var doc replicaTrace
-			if json.NewDecoder(io.LimitReader(resp.Body, 4<<20)).Decode(&doc) != nil {
-				return
-			}
-			mu.Lock()
-			docs = append(docs, doc)
-			mu.Unlock()
-		}()
-	}
-	wg.Wait()
-	return docs
-}
-
 func (g *Gate) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	if g.ring.LiveCount() == 0 {
 		writeJSON(w, http.StatusServiceUnavailable,
@@ -508,11 +502,11 @@ func (g *Gate) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 
 // ReplicaStats is the /statsz view of one replica.
 type ReplicaStats struct {
-	Healthy         bool           `json:"healthy"`
-	Requests        int64          `json:"requests"`
-	Server5xx       int64          `json:"server_5xx"`
-	TransportErrors int64          `json:"transport_errors"`
-	Latency         fleet.Snapshot `json:"latency"`
+	Healthy         bool             `json:"healthy"`
+	Requests        int64            `json:"requests"`
+	Server5xx       int64            `json:"server_5xx"`
+	TransportErrors int64            `json:"transport_errors"`
+	Latency         metrics.Snapshot `json:"latency"`
 }
 
 // Stats is the gate's /statsz document. ReplicaStatsz carries each live
@@ -529,7 +523,7 @@ type Stats struct {
 	// FleetLatency is every replica's latency histogram merged into one —
 	// the same Histogram code path as the per-replica figures, so the
 	// aggregate quantiles are count-for-count consistent with them.
-	FleetLatency fleet.Snapshot `json:"fleet_latency"`
+	FleetLatency metrics.Snapshot `json:"fleet_latency"`
 	// SLOs reports the gate-measured burn state per route, present only
 	// when objectives are configured.
 	SLOs []xtrace.SLOStatus `json:"slos,omitempty"`
@@ -538,8 +532,8 @@ type Stats struct {
 }
 
 // fleetLatency merges every replica's histogram into one aggregate.
-func (g *Gate) fleetLatency() *fleet.Histogram {
-	agg := fleet.NewLatencyHistogram()
+func (g *Gate) fleetLatency() *metrics.Histogram {
+	agg := metrics.NewLatencyHistogram()
 	for _, rs := range g.replicas {
 		// Same layout by construction; Merge cannot fail here.
 		agg.Merge(rs.latency)
@@ -563,7 +557,7 @@ func (g *Gate) Snapshot(ctx context.Context, fetchReplicas bool) Stats {
 	}
 	for url, rs := range g.replicas {
 		st.Replicas[url] = ReplicaStats{
-			Healthy:         rs.healthy.Load(),
+			Healthy:         g.ring.Alive(url),
 			Requests:        rs.requests.Load(),
 			Server5xx:       rs.server5xx.Load(),
 			TransportErrors: rs.transport.Load(),
@@ -571,18 +565,21 @@ func (g *Gate) Snapshot(ctx context.Context, fetchReplicas bool) Stats {
 		}
 	}
 	if fetchReplicas {
-		st.ReplicaStatsz = g.fetchStatsz(ctx)
+		st.ReplicaStatsz = g.fetchLive(ctx, "/statsz", 1<<20)
 	}
 	return st
 }
 
-// fetchStatsz pulls each healthy replica's /statsz document.
-func (g *Gate) fetchStatsz(ctx context.Context) map[string]json.RawMessage {
+// fetchLive GETs path from every live replica concurrently, each request
+// bounded by the health timeout, and returns the 200 answers that are
+// valid JSON of at most limit bytes, keyed by replica. A replica without
+// the document (a trace it never saw answers 404) contributes nothing.
+func (g *Gate) fetchLive(ctx context.Context, path string, limit int64) map[string]json.RawMessage {
 	out := make(map[string]json.RawMessage)
 	var mu sync.Mutex
 	var wg sync.WaitGroup
-	for url, rs := range g.replicas {
-		if !rs.healthy.Load() {
+	for _, url := range g.ring.Nodes() {
+		if !g.ring.Alive(url) {
 			continue
 		}
 		wg.Add(1)
@@ -590,7 +587,7 @@ func (g *Gate) fetchStatsz(ctx context.Context) map[string]json.RawMessage {
 			defer wg.Done()
 			reqCtx, cancel := context.WithTimeout(ctx, g.cfg.HealthTimeout)
 			defer cancel()
-			req, err := http.NewRequestWithContext(reqCtx, http.MethodGet, url+"/statsz", nil)
+			req, err := http.NewRequestWithContext(reqCtx, http.MethodGet, url+path, nil)
 			if err != nil {
 				return
 			}
@@ -599,7 +596,7 @@ func (g *Gate) fetchStatsz(ctx context.Context) map[string]json.RawMessage {
 				return
 			}
 			defer resp.Body.Close()
-			blob, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
+			blob, err := io.ReadAll(io.LimitReader(resp.Body, limit))
 			if err != nil || resp.StatusCode != http.StatusOK || !json.Valid(blob) {
 				return
 			}
@@ -614,83 +611,6 @@ func (g *Gate) fetchStatsz(ctx context.Context) map[string]json.RawMessage {
 
 func (g *Gate) handleStatsz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, g.Snapshot(r.Context(), true))
-}
-
-// handleMetrics serves the gate counters in Prometheus text exposition
-// format: per-replica request/error counters, liveness gauges, and a
-// latency histogram per replica.
-func (g *Gate) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	urls := make([]string, 0, len(g.replicas))
-	for url := range g.replicas {
-		urls = append(urls, url)
-	}
-	sort.Strings(urls)
-
-	fmt.Fprintf(w, "# HELP qgate_requests_total Requests accepted by the gate.\n# TYPE qgate_requests_total counter\nqgate_requests_total %d\n", g.requests.Load())
-	fmt.Fprintf(w, "# HELP qgate_failovers_total Proxy attempts re-routed past a dead replica.\n# TYPE qgate_failovers_total counter\nqgate_failovers_total %d\n", g.failovers.Load())
-	fmt.Fprintf(w, "# HELP qgate_unrouted_total Requests no replica could be reached for (502).\n# TYPE qgate_unrouted_total counter\nqgate_unrouted_total %d\n", g.unrouted.Load())
-	fmt.Fprintf(w, "# HELP qgate_live_replicas Replicas currently on the ring.\n# TYPE qgate_live_replicas gauge\nqgate_live_replicas %d\n", g.ring.LiveCount())
-
-	emit := func(name, help, typ string, value func(*replicaState) int64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
-		for _, url := range urls {
-			fmt.Fprintf(w, "%s{replica=%q} %d\n", name, url, value(g.replicas[url]))
-		}
-	}
-	emit("qgate_replica_requests_total", "Proxied requests answered, by replica.", "counter",
-		func(rs *replicaState) int64 { return rs.requests.Load() })
-	emit("qgate_replica_5xx_total", "Proxied 5xx responses, by replica.", "counter",
-		func(rs *replicaState) int64 { return rs.server5xx.Load() })
-	emit("qgate_replica_transport_errors_total", "Transport failures, by replica.", "counter",
-		func(rs *replicaState) int64 { return rs.transport.Load() })
-	emit("qgate_replica_healthy", "1 while the replica passes health checks.", "gauge",
-		func(rs *replicaState) int64 {
-			if rs.healthy.Load() {
-				return 1
-			}
-			return 0
-		})
-
-	// Per-replica and fleet-aggregate latency go through the same
-	// histogram writer; the aggregate is the replicas' histograms merged,
-	// so the two sets of series always sum consistently.
-	writeHist := func(name string, labels string, h *fleet.Histogram) {
-		var cum int64
-		for i, bound := range h.Bounds() {
-			cum += h.BucketCount(i)
-			fmt.Fprintf(w, "%s_bucket{%sle=%q} %d\n",
-				name, labels, fmt.Sprintf("%g", bound), cum)
-		}
-		cum += h.BucketCount(len(h.Bounds()))
-		fmt.Fprintf(w, "%s_bucket{%sle=\"+Inf\"} %d\n", name, labels, cum)
-		countLabels := ""
-		if labels != "" {
-			countLabels = "{" + strings.TrimSuffix(labels, ",") + "}"
-		}
-		fmt.Fprintf(w, "%s_count%s %d\n", name, countLabels, h.Count())
-	}
-	fmt.Fprintf(w, "# HELP qgate_replica_seconds Proxied request latency, by replica.\n# TYPE qgate_replica_seconds histogram\n")
-	for _, url := range urls {
-		writeHist("qgate_replica_seconds", fmt.Sprintf("replica=%q,", url), g.replicas[url].latency)
-	}
-	fmt.Fprintf(w, "# HELP qgate_fleet_seconds Proxied request latency across all replicas (merged).\n# TYPE qgate_fleet_seconds histogram\n")
-	writeHist("qgate_fleet_seconds", "", g.fleetLatency())
-
-	if slos := g.slo.Snapshot(); len(slos) > 0 {
-		fmt.Fprintf(w, "# HELP qgate_slo_requests_total Requests scored against a route objective.\n# TYPE qgate_slo_requests_total counter\n")
-		for _, o := range slos {
-			fmt.Fprintf(w, "qgate_slo_requests_total{route=%q} %d\n", o.Route, o.Requests)
-		}
-		fmt.Fprintf(w, "# HELP qgate_slo_bad_total Requests burning error budget (slow or 5xx, counted once).\n# TYPE qgate_slo_bad_total counter\n")
-		for _, o := range slos {
-			fmt.Fprintf(w, "qgate_slo_bad_total{route=%q} %d\n", o.Route, o.Bad)
-		}
-		fmt.Fprintf(w, "# HELP qgate_slo_burn_rate Bad fraction over budget; 1 burns exactly at the objective.\n# TYPE qgate_slo_burn_rate gauge\n")
-		for _, o := range slos {
-			fmt.Fprintf(w, "qgate_slo_burn_rate{route=%q} %g\n", o.Route, o.BurnRate)
-		}
-	}
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

@@ -32,8 +32,8 @@ import (
 	"sync"
 	"time"
 
-	"queuemachine/internal/fleet"
 	"queuemachine/internal/gate"
+	"queuemachine/internal/metrics"
 	"queuemachine/internal/workloads"
 	"queuemachine/internal/xtrace"
 )
@@ -180,8 +180,8 @@ type Report struct {
 	CoalescedRate float64 `json:"coalesced_rate"`
 	CacheHitRate  float64 `json:"cache_hit_rate"`
 	// Server5xx totals responses with status >= 500.
-	Server5xx int64          `json:"server_5xx"`
-	Latency   fleet.Snapshot `json:"latency"`
+	Server5xx int64            `json:"server_5xx"`
+	Latency   metrics.Snapshot `json:"latency"`
 	// SLO is the run's latency verdict, present when an objective was
 	// declared (Options.SLOP99).
 	SLO *SLOOutcome `json:"slo,omitempty"`
@@ -219,7 +219,7 @@ type collector struct {
 	replicas  map[string]int64
 	completed int64
 	transport int64
-	hist      *fleet.Histogram
+	hist      *metrics.Histogram
 	sampled   []SampledTrace
 }
 
@@ -288,7 +288,7 @@ func Run(ctx context.Context, target string, opts Options) (*Report, error) {
 		status:   make(map[string]int64),
 		cache:    make(map[string]int64),
 		replicas: make(map[string]int64),
-		hist:     fleet.NewLatencyHistogram(),
+		hist:     metrics.NewLatencyHistogram(),
 	}
 	sem := make(chan struct{}, opts.MaxInFlight)
 	var wg sync.WaitGroup

@@ -9,7 +9,7 @@ import (
 	"testing"
 	"time"
 
-	"queuemachine/internal/fleet"
+	"queuemachine/internal/metrics"
 	"queuemachine/internal/service"
 )
 
@@ -133,7 +133,7 @@ func TestLatencyCountsGeneratorStall(t *testing.T) {
 		status:   make(map[string]int64),
 		cache:    make(map[string]int64),
 		replicas: make(map[string]int64),
-		hist:     fleet.NewLatencyHistogram(),
+		hist:     metrics.NewLatencyHistogram(),
 	}
 	const stall = 200 * time.Millisecond
 	due := time.Now().Add(-stall)

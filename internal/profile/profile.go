@@ -100,6 +100,17 @@ func PECauses() []Cause {
 		CauseSendWait, CauseRecvWait, CauseTimerWait, CauseIdle}
 }
 
+// AccountedCauses names every cause a Profile's Causes, MP and Ring maps
+// can hold: the PE partition, then the message-processor and ring lanes.
+// Dispatch-wait appears only on the critical path.
+func AccountedCauses() []string {
+	var names []string
+	for _, c := range append(PECauses(), CauseMPService, CauseMPMiss, CauseRingTransfer, CauseRingWait) {
+		names = append(names, c.String())
+	}
+	return names
+}
+
 // lane is one processing element's attribution account. Every hook that
 // touches the lane advances cursor by exactly the number of cycles it
 // charges, so sum(causes) == cursor at all times — the invariant the

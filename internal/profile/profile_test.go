@@ -164,6 +164,10 @@ func TestCauseStrings(t *testing.T) {
 	if len(PECauses()) != int(numPECauses) {
 		t.Errorf("PECauses lists %d causes, taxonomy has %d", len(PECauses()), numPECauses)
 	}
+	// Every cause but the critical path's dispatch-wait is accounted.
+	if n := len(AccountedCauses()); n != len(want)-1 {
+		t.Errorf("AccountedCauses lists %d causes, want %d", n, len(want)-1)
+	}
 }
 
 // TestSummaryReport smoke-tests the text report.

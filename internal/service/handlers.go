@@ -135,10 +135,10 @@ func retryAfter() string {
 func (s *Service) error(ctx context.Context, w http.ResponseWriter, err error) {
 	status := toStatus(err)
 	if status == http.StatusTooManyRequests {
-		s.rejected.Add(1)
+		s.rejected.Inc()
 		w.Header().Set("Retry-After", retryAfter())
 	} else {
-		s.fails.Add(1)
+		s.fails.Inc()
 	}
 	doc := map[string]string{"error": err.Error()}
 	if id := xtrace.TraceIDFrom(ctx); id != "" {
@@ -225,7 +225,7 @@ func (s *Service) materialize(ctx context.Context, src string, opts compile.Opti
 	}
 	if s.ring != nil && allowPeer {
 		if owner := s.ring.Owner(fp); owner != "" && owner != s.self {
-			s.peerFetches.Add(1)
+			s.peerFetches.Inc()
 			// The fetch runs under its own span's context so the peer's
 			// compile spans arrive parented to it across the hop.
 			pctx, ps := xtrace.StartSpan(ctx, "peer.fetch")
@@ -237,7 +237,7 @@ func (s *Service) materialize(ctx context.Context, src string, opts compile.Opti
 			}
 			if err == nil {
 				ps.End()
-				s.peerHits.Add(1)
+				s.peerHits.Inc()
 				s.cache.add(fp, prog)
 				return prog, cacheStatePeer, nil
 			}
@@ -245,7 +245,7 @@ func (s *Service) materialize(ctx context.Context, src string, opts compile.Opti
 			// degrades to a local compile; the request must not fail
 			// because a peer did.
 			ps.EndErr(err)
-			s.peerErrors.Add(1)
+			s.peerErrors.Inc()
 		}
 	}
 	_, cs := xtrace.StartSpan(ctx, "compile")
@@ -299,8 +299,8 @@ func allowPeer(r *http.Request) bool {
 }
 
 func (s *Service) handleCompile(w http.ResponseWriter, r *http.Request) {
-	defer s.observe("compile", time.Now())
-	s.compiles.Add(1)
+	defer s.compileSeconds.ObserveSince(time.Now())
+	s.compiles.Inc()
 	rctx, root := s.tracer.StartRequest(r, "compile")
 	defer root.End()
 	echoTrace(w, root)
@@ -345,7 +345,7 @@ func (s *Service) handleCompile(w http.ResponseWriter, r *http.Request) {
 		})
 	})
 	if shared {
-		s.coalescedCompiles.Add(1)
+		s.coalescedCompiles.Inc()
 		joinSpan(ctx, flightStart, leader)
 	}
 	if err != nil {
@@ -410,8 +410,8 @@ func (k runKey) String() string {
 }
 
 func (s *Service) handleRun(w http.ResponseWriter, r *http.Request) {
-	defer s.observe("run", time.Now())
-	s.runs.Add(1)
+	defer s.runSeconds.ObserveSince(time.Now())
+	s.runs.Inc()
 	rctx, root := s.tracer.StartRequest(r, "run")
 	defer root.End()
 	echoTrace(w, root)
@@ -529,7 +529,7 @@ func (s *Service) handleRun(w http.ResponseWriter, r *http.Request) {
 		})
 	})
 	if shared {
-		s.coalescedRuns.Add(1)
+		s.coalescedRuns.Inc()
 		joinSpan(ctx, flightStart, leader)
 	}
 	if err != nil {

@@ -48,6 +48,12 @@ func scrape(t *testing.T, url string) map[string]float64 {
 	return samples
 }
 
+// formatBound renders a bucket bound the way the exposition writer does:
+// shortest decimal form ("0.005", "1", "30").
+func formatBound(b float64) string {
+	return strconv.FormatFloat(b, 'g', -1, 64)
+}
+
 // TestMetricsEndpoint drives a fixed request sequence and checks that the
 // Prometheus document agrees with /statsz — the acceptance criterion for
 // the /metrics endpoint.

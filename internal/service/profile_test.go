@@ -79,52 +79,6 @@ func TestRunProfileOptIn(t *testing.T) {
 	}
 }
 
-// TestMetricsHistogramMonotonic pins the Prometheus histogram contract on
-// /metrics: for every endpoint, bucket counts are cumulative (non-
-// decreasing across increasing bounds), the +Inf bucket equals _count, and
-// _sum is consistent with at least one observation.
-func TestMetricsHistogramMonotonic(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 2})
-	for i := 0; i < 3; i++ {
-		if code, raw := post(t, ts.URL+"/compile", compileRequest{Source: sumSquares}, nil); code != 200 {
-			t.Fatalf("compile: %d %s", code, raw)
-		}
-		if code, raw := post(t, ts.URL+"/run", runRequest{Source: sumSquares, PEs: 2}, nil); code != 200 {
-			t.Fatalf("run: %d %s", code, raw)
-		}
-	}
-
-	m := scrape(t, ts.URL)
-	for _, endpoint := range []string{"compile", "run"} {
-		var prev float64
-		for _, b := range latencyBuckets {
-			key := fmt.Sprintf("qmd_request_seconds_bucket{endpoint=%q,le=%q}", endpoint, formatBound(b))
-			cur, ok := m[key]
-			if !ok {
-				t.Fatalf("bucket %s missing", key)
-			}
-			if cur < prev {
-				t.Errorf("%s: bucket le=%g count %v < previous %v; not cumulative", endpoint, b, cur, prev)
-			}
-			prev = cur
-		}
-		inf := m[fmt.Sprintf("qmd_request_seconds_bucket{endpoint=%q,le=\"+Inf\"}", endpoint)]
-		count := m[fmt.Sprintf("qmd_request_seconds_count{endpoint=%q}", endpoint)]
-		if inf < prev {
-			t.Errorf("%s: +Inf bucket %v < last bound %v", endpoint, inf, prev)
-		}
-		if inf != count {
-			t.Errorf("%s: +Inf bucket %v != count %v", endpoint, inf, count)
-		}
-		if count != 3 {
-			t.Errorf("%s: count %v, want 3", endpoint, count)
-		}
-		if sum := m[fmt.Sprintf("qmd_request_seconds_sum{endpoint=%q}", endpoint)]; sum < 0 {
-			t.Errorf("%s: negative sum %v", endpoint, sum)
-		}
-	}
-}
-
 // TestAccessLog drives requests through the structured-logging middleware
 // and checks each line carries the request id, route, status, duration,
 // and the cache hit/miss of requests the artifact cache served.

@@ -34,11 +34,11 @@ import (
 	"net/http/pprof"
 	"runtime"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"queuemachine/internal/fleet"
+	"queuemachine/internal/metrics"
 	"queuemachine/internal/sim"
 	"queuemachine/internal/xtrace"
 )
@@ -148,34 +148,29 @@ type Service struct {
 	flights flightGroup // singleflight over identical compiles and runs
 	mux     *http.ServeMux
 	start   time.Time
-	latency map[string]*histogram // per-endpoint request latency
+	metrics *metrics.Registry // behind /metrics; see declareMetrics
 	tracer  *xtrace.Tracer
 	traces  *xtrace.Recorder
 	slo     *xtrace.SLOTracker // nil without Config.SLOs
 
-	draining                        atomic.Bool
-	compiles, runs, rejected, fails atomic.Int64
-	cyclesServed, instrsServed      atomic.Int64
-	simNanos                        atomic.Int64 // wall-clock ns spent inside sim.RunContext
+	draining atomic.Bool
 
-	// Coalescing and peer-tier counters. A coalesced follower shares a
-	// leader's execution; it is counted here and never as an artifact
-	// cache hit (the follower never consulted the cache).
-	coalescedCompiles, coalescedRuns  atomic.Int64
-	peerFetches, peerHits, peerErrors atomic.Int64
+	// Counters and histograms registered on metrics. A coalesced
+	// follower shares a leader's execution; it is counted as coalesced
+	// and never as an artifact cache hit (the follower never consulted
+	// the cache). The peer counters are nil without Config.Peers.
+	compiles, runs, rejected, fails   *metrics.Counter
+	cyclesServed, instrsServed        *metrics.Counter
+	coalescedCompiles, coalescedRuns  *metrics.Counter
+	peerFetches, peerHits, peerErrors *metrics.Counter
+	schedMigrations, schedSteals      *metrics.Counter
+	schedRuns                         *metrics.CounterVec // by resolved policy
+	causeCycles                       *metrics.CounterVec // profiled runs, by cause
+	compileSeconds, runSeconds        *metrics.Histogram
 
-	// causeCycles accumulates the cycle attribution of profiled runs,
-	// keyed by cause name. Profiled runs are the rare case, so a mutex
-	// beats pre-sizing an atomic slot per cause.
-	causeMu     sync.Mutex
-	causeCycles map[string]int64
-
-	// schedRuns counts successful runs by resolved scheduling policy;
-	// the totals feed the /statsz policy breakdown and the
-	// qmd_sched_*_total metrics.
-	schedMu                      sync.Mutex
-	schedRuns                    map[string]int64
-	schedMigrations, schedSteals atomic.Int64
+	// simNanos is the wall-clock time workers spent inside sim.RunContext;
+	// /metrics shows it only through the derived qmd_host_mips.
+	simNanos metrics.Counter
 }
 
 // New builds a service; it is ready to serve as soon as its Handler is
@@ -184,15 +179,12 @@ type Service struct {
 func New(cfg Config) (*Service, error) {
 	cfg = cfg.withDefaults()
 	s := &Service{
-		cfg:   cfg,
-		cache: newProgramCache(cfg.CacheEntries),
-		pool:  newPool(cfg.Workers, cfg.QueueDepth),
-		mux:   http.NewServeMux(),
-		start: time.Now(),
-		latency: map[string]*histogram{
-			"compile": newHistogram(latencyBuckets),
-			"run":     newHistogram(latencyBuckets),
-		},
+		cfg:     cfg,
+		cache:   newProgramCache(cfg.CacheEntries),
+		pool:    newPool(cfg.Workers, cfg.QueueDepth),
+		mux:     http.NewServeMux(),
+		start:   time.Now(),
+		metrics: metrics.NewRegistry(),
 		traces: xtrace.NewRecorder(xtrace.RecorderConfig{
 			Capacity:      cfg.TraceCapacity,
 			SlowThreshold: cfg.TraceSlow,
@@ -218,11 +210,12 @@ func New(cfg Config) (*Service, error) {
 		s.self = cfg.Self
 		s.peers = fleet.NewClient(cfg.PeerTimeout)
 	}
+	s.declareMetrics(s.metrics)
 	s.mux.HandleFunc("POST /compile", s.handleCompile)
 	s.mux.HandleFunc("POST /run", s.handleRun)
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /statsz", s.handleStatsz)
-	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
+	s.mux.Handle("GET /metrics", s.metrics)
 	s.mux.HandleFunc("GET /debugz/traces", s.traces.ServeHTTP)
 	if cfg.EnablePprof {
 		s.mux.HandleFunc("GET /debug/pprof/", pprof.Index)
@@ -242,7 +235,7 @@ func (s *Service) Handler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		defer func() {
 			if rec := recover(); rec != nil && rec != http.ErrAbortHandler {
-				s.fails.Add(1)
+				s.fails.Inc()
 				doc := map[string]string{"error": fmt.Sprintf("request rejected: %v", rec)}
 				if id := r.Header.Get(xtrace.TraceHeader); id != "" {
 					doc["trace"] = id

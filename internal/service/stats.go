@@ -166,14 +166,8 @@ type PeerStats struct {
 	Errors  int64    `json:"errors"`
 }
 
-// Stats snapshots the service counters.
+// Stats snapshots the service counters from the handles /metrics reads.
 func (s *Service) Stats() ServiceStats {
-	simSecs := time.Duration(s.simNanos.Load()).Seconds()
-	instrs := s.instrsServed.Load()
-	var mips float64
-	if simSecs > 0 {
-		mips = float64(instrs) / simSecs / 1e6
-	}
 	return ServiceStats{
 		UptimeSeconds:      time.Since(s.start).Seconds(),
 		Draining:           s.draining.Load(),
@@ -186,17 +180,17 @@ func (s *Service) Stats() ServiceStats {
 		Queued:             s.pool.queued(),
 		QueueCapacity:      s.pool.capacity(),
 		CyclesServed:       s.cyclesServed.Load(),
-		InstructionsServed: instrs,
-		SimSeconds:         simSecs,
-		HostMIPS:           mips,
+		InstructionsServed: s.instrsServed.Load(),
+		SimSeconds:         s.simTime().Seconds(),
+		HostMIPS:           s.hostMIPS(),
 		Cache:              s.cache.stats(),
 		CoalescedCompiles:  s.coalescedCompiles.Load(),
 		CoalescedRuns:      s.coalescedRuns.Load(),
 		FlightsInFlight:    s.flights.inFlight(),
 		Disk:               s.diskSnapshot(),
 		Peer:               s.peerSnapshot(),
-		CycleCauses:        s.causeSnapshot(),
-		SchedRuns:          s.schedSnapshot(),
+		CycleCauses:        s.causeCycles.Map(),
+		SchedRuns:          s.schedRuns.Map(),
 		SchedMigrations:    s.schedMigrations.Load(),
 		SchedSteals:        s.schedSteals.Load(),
 		SLOs:               s.slo.Snapshot(),
@@ -229,51 +223,15 @@ func (s *Service) peerSnapshot() *PeerStats {
 func (s *Service) recordSched(policy string, migrations, steals int64) {
 	s.schedMigrations.Add(migrations)
 	s.schedSteals.Add(steals)
-	s.schedMu.Lock()
-	defer s.schedMu.Unlock()
-	if s.schedRuns == nil {
-		s.schedRuns = make(map[string]int64)
-	}
-	s.schedRuns[policy]++
-}
-
-func (s *Service) schedSnapshot() map[string]int64 {
-	s.schedMu.Lock()
-	defer s.schedMu.Unlock()
-	if len(s.schedRuns) == 0 {
-		return nil
-	}
-	out := make(map[string]int64, len(s.schedRuns))
-	for k, v := range s.schedRuns {
-		out[k] = v
-	}
-	return out
+	s.schedRuns.With(policy).Inc()
 }
 
 // recordCauses folds one profiled run's attribution into the cumulative
 // per-cause totals /statsz and /metrics expose.
 func (s *Service) recordCauses(p *profile.Profile) {
-	s.causeMu.Lock()
-	defer s.causeMu.Unlock()
-	if s.causeCycles == nil {
-		s.causeCycles = make(map[string]int64)
-	}
-	for _, m := range []map[string]int64{p.Causes, p.MP, p.Ring} {
-		for cause, v := range m {
-			s.causeCycles[cause] += v
+	for _, name := range profile.AccountedCauses() {
+		if v := p.Causes[name] + p.MP[name] + p.Ring[name]; v != 0 {
+			s.causeCycles.With(name).Add(v)
 		}
 	}
-}
-
-func (s *Service) causeSnapshot() map[string]int64 {
-	s.causeMu.Lock()
-	defer s.causeMu.Unlock()
-	if len(s.causeCycles) == 0 {
-		return nil
-	}
-	out := make(map[string]int64, len(s.causeCycles))
-	for k, v := range s.causeCycles {
-		out[k] = v
-	}
-	return out
 }

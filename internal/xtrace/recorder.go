@@ -5,6 +5,8 @@ import (
 	"sort"
 	"sync"
 	"time"
+
+	"queuemachine/internal/metrics"
 )
 
 // Trace is one process-local committed trace: every span the process
@@ -239,6 +241,18 @@ func (r *Recorder) Stats() RecorderStats {
 		}
 	}
 	return st
+}
+
+// Register declares the recorder's families in reg under prefix:
+// <prefix>_trace_committed_total, <prefix>_trace_evicted_total and
+// <prefix>_trace_resident (ring plus outliers).
+func (r *Recorder) Register(reg *metrics.Registry, prefix string) {
+	reg.CounterFunc(prefix+"_trace_committed_total", "Traces committed to the flight recorder.",
+		func() float64 { return float64(r.Stats().Committed) })
+	reg.CounterFunc(prefix+"_trace_evicted_total", "Traces aged off the recorder ring.",
+		func() float64 { return float64(r.Stats().Evicted) })
+	reg.Gauge(prefix+"_trace_resident", "Traces resident in the recorder (ring plus outliers).",
+		func() float64 { st := r.Stats(); return float64(st.Resident + st.Outliers) })
 }
 
 // traceDoc is the single-trace JSON document served by the handler; the

@@ -6,6 +6,8 @@ import (
 	"strings"
 	"sync/atomic"
 	"time"
+
+	"queuemachine/internal/metrics"
 )
 
 // Objective is one route's service-level objective: at least (1 - Budget)
@@ -58,8 +60,7 @@ type sloState struct {
 // SLOTracker accumulates per-route burn-rate counters against declared
 // objectives. A nil tracker is inert, matching the tracer's contract.
 type SLOTracker struct {
-	routes map[string]*sloState
-	order  []string
+	routes []*sloState // sorted by route; a handful, so scanned, not hashed
 }
 
 // NewSLOTracker builds a tracker over the objectives; nil when none are
@@ -69,19 +70,26 @@ func NewSLOTracker(objs []Objective) *SLOTracker {
 	if len(objs) == 0 {
 		return nil
 	}
-	t := &SLOTracker{routes: make(map[string]*sloState, len(objs))}
+	t := &SLOTracker{}
 	for _, o := range objs {
 		if o.Budget <= 0 {
 			o.Budget = 0.01
 		}
-		if _, dup := t.routes[o.Route]; dup {
-			continue
+		if t.route(o.Route) == nil {
+			t.routes = append(t.routes, &sloState{obj: o})
 		}
-		t.routes[o.Route] = &sloState{obj: o}
-		t.order = append(t.order, o.Route)
 	}
-	sort.Strings(t.order)
+	sort.Slice(t.routes, func(i, j int) bool { return t.routes[i].obj.Route < t.routes[j].obj.Route })
 	return t
+}
+
+func (t *SLOTracker) route(name string) *sloState {
+	for _, st := range t.routes {
+		if st.obj.Route == name {
+			return st
+		}
+	}
+	return nil
 }
 
 // Observe scores one finished request against its route's objective.
@@ -90,8 +98,8 @@ func (t *SLOTracker) Observe(route string, d time.Duration, status int) {
 	if t == nil {
 		return
 	}
-	st, ok := t.routes[route]
-	if !ok {
+	st := t.route(route)
+	if st == nil {
 		return
 	}
 	st.total.Add(1)
@@ -127,23 +135,49 @@ func (t *SLOTracker) Snapshot() []SLOStatus {
 	if t == nil {
 		return nil
 	}
-	out := make([]SLOStatus, 0, len(t.order))
-	for _, route := range t.order {
-		st := t.routes[route]
-		s := SLOStatus{
-			Route:            route,
-			TargetP99Seconds: st.obj.P99.Seconds(),
-			Budget:           st.obj.Budget,
-			Requests:         st.total.Load(),
-			Slow:             st.slow.Load(),
-			Errors:           st.errors.Load(),
-			Bad:              st.bad.Load(),
-		}
-		if s.Requests > 0 {
-			s.BadFraction = float64(s.Bad) / float64(s.Requests)
-			s.BurnRate = s.BadFraction / st.obj.Budget
-		}
-		out = append(out, s)
+	out := make([]SLOStatus, 0, len(t.routes))
+	for _, st := range t.routes {
+		out = append(out, st.status())
 	}
 	return out
+}
+
+func (st *sloState) status() SLOStatus {
+	s := SLOStatus{
+		Route:            st.obj.Route,
+		TargetP99Seconds: st.obj.P99.Seconds(),
+		Budget:           st.obj.Budget,
+		Requests:         st.total.Load(),
+		Slow:             st.slow.Load(),
+		Errors:           st.errors.Load(),
+		Bad:              st.bad.Load(),
+	}
+	if s.Requests > 0 {
+		s.BadFraction = float64(s.Bad) / float64(s.Requests)
+		s.BurnRate = s.BadFraction / st.obj.Budget
+	}
+	return s
+}
+
+// Register declares the tracker's per-route families in reg under
+// prefix: <prefix>_slo_{requests,slow,errors,bad}_total and
+// <prefix>_slo_burn_rate, each labelled by route. A nil tracker
+// declares nothing.
+func (t *SLOTracker) Register(reg *metrics.Registry, prefix string) {
+	if t == nil {
+		return
+	}
+	for _, st := range t.routes {
+		route := st.obj.Route
+		reg.CounterFunc(prefix+"_slo_requests_total", "Requests scored against a route objective.",
+			func() float64 { return float64(st.total.Load()) }, "route", route)
+		reg.CounterFunc(prefix+"_slo_slow_total", "Requests over the route's latency objective.",
+			func() float64 { return float64(st.slow.Load()) }, "route", route)
+		reg.CounterFunc(prefix+"_slo_errors_total", "Requests answered 5xx on an objective route.",
+			func() float64 { return float64(st.errors.Load()) }, "route", route)
+		reg.CounterFunc(prefix+"_slo_bad_total", "Requests burning error budget (slow or 5xx, counted once).",
+			func() float64 { return float64(st.bad.Load()) }, "route", route)
+		reg.Gauge(prefix+"_slo_burn_rate", "Bad fraction over budget; 1 burns exactly at the objective.",
+			func() float64 { return st.status().BurnRate }, "route", route)
+	}
 }
