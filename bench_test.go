@@ -357,14 +357,22 @@ func BenchmarkGen2Chain(b *testing.B) {
 	benchWorkload(b, workloads.Chain(24), gen2PECounts)
 }
 
-// BenchmarkCompiler measures the OCCAM compiler itself on the largest
-// benchmark program.
+// BenchmarkCompiler measures the OCCAM compiler on the eight exact-gated
+// programs perfbench's sweep compiles in its set-up, one sub-benchmark
+// each.
 func BenchmarkCompiler(b *testing.B) {
-	src := workloads.MatMul(8).Source
-	for i := 0; i < b.N; i++ {
-		if _, err := compile.Compile(src, compile.Options{}); err != nil {
-			b.Fatal(err)
-		}
+	for _, wl := range []workloads.Workload{
+		workloads.MatMul(8), workloads.FFT(6), workloads.Cholesky(8), workloads.Congruence(8),
+		workloads.Bitonic(4), workloads.LU(6), workloads.Stencil(16, 4), workloads.Chain(24),
+	} {
+		b.Run(wl.Name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := compile.Compile(wl.Source, compile.Options{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

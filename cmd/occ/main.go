@@ -80,7 +80,7 @@ func main() {
 			}
 		}
 	case *printAsm:
-		fmt.Print(art.Assembly)
+		fmt.Print(art.Assembly())
 	case *runPEs > 0:
 		res, err := sim.Run(art.Object, *runPEs, sim.DefaultParams())
 		if err != nil {

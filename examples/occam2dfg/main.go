@@ -54,5 +54,5 @@ func main() {
 	}
 
 	fmt.Println("\n=== generated queue machine assembly ===")
-	fmt.Println(strings.TrimSpace(art.Assembly))
+	fmt.Println(strings.TrimSpace(art.Assembly()))
 }

@@ -2,7 +2,6 @@ package compile
 
 import (
 	"fmt"
-	"strings"
 
 	"queuemachine/internal/dfg"
 	"queuemachine/internal/isa"
@@ -14,32 +13,27 @@ const (
 	scratch2 = 20
 )
 
-// emit sequences and codes every graph, producing the object program and
-// its assembly listing.
-func (c *compiler) emit() (*isa.Object, string, error) {
+// emit sequences and codes every graph, producing the object program.
+func (c *compiler) emit() (*isa.Object, error) {
 	obj := &isa.Object{
 		DataInit:   map[int]int32{},
 		DataWords:  c.dataWords,
 		Entry:      0,
 		SourceName: "occam",
 	}
-	var asmText strings.Builder
-	fmt.Fprintf(&asmText, ".data %d\n.entry main\n", c.dataWords)
 	for gi, gc := range c.graphs {
 		instrs, queueWords, order, err := c.code(gc)
 		if err != nil {
-			return nil, "", fmt.Errorf("compile: graph %s: %w", gc.name, err)
+			return nil, fmt.Errorf("compile: graph %s: %w", gc.name, err)
 		}
 		c.infos[gi].Order = order
 		var words []uint32
-		fmt.Fprintf(&asmText, ".graph %s queue=%d\n", gc.name, queueWords)
 		for _, in := range instrs {
 			w, err := in.Encode()
 			if err != nil {
-				return nil, "", fmt.Errorf("compile: graph %s: encoding %v: %w", gc.name, in, err)
+				return nil, fmt.Errorf("compile: graph %s: encoding %v: %w", gc.name, in, err)
 			}
 			words = append(words, w...)
-			fmt.Fprintf(&asmText, "\t%s\n", in.String())
 		}
 		obj.Graphs = append(obj.Graphs, isa.GraphCode{
 			Name:       gc.name,
@@ -49,9 +43,9 @@ func (c *compiler) emit() (*isa.Object, string, error) {
 		})
 	}
 	if err := obj.Validate(); err != nil {
-		return nil, "", err
+		return nil, err
 	}
-	return obj, asmText.String(), nil
+	return obj, nil
 }
 
 // code sequences one graph with the Figure 4.20 scheduler and translates
@@ -104,9 +98,6 @@ func (c *compiler) code(gc *graphCtx) ([]isa.Instr, int, []*dfg.Node, error) {
 // (isa.GraphCode.Weight) and the kernel copies it into every context
 // executing the graph.
 func graphWeight(g *dfg.Graph) int {
-	if len(g.Nodes) == 0 {
-		return 0
-	}
 	an := g.Analyze()
 	w := 0
 	for _, v := range g.Nodes {

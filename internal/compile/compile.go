@@ -19,7 +19,9 @@ package compile
 
 import (
 	"fmt"
+	"strings"
 
+	"queuemachine/internal/asm"
 	"queuemachine/internal/dfg"
 	"queuemachine/internal/ift"
 	"queuemachine/internal/isa"
@@ -64,8 +66,22 @@ type Artifact struct {
 	// Layout maps every vector symbol to its base word address in the
 	// static data segment.
 	Layout map[*occam.Symbol]int
-	// Assembly is the generated assembly text (before assembling).
-	Assembly string
+}
+
+// Assembly renders the listing `occ -S` prints from the object: the data
+// size, the entry graph and each graph's decoded instructions (Compile
+// validated the object, so every word decodes).
+func (a *Artifact) Assembly() string {
+	var b strings.Builder
+	fmt.Fprintf(&b, ".data %d\n.entry %s\n", a.Object.DataWords, a.Object.Graphs[a.Object.Entry].Name)
+	for _, g := range a.Object.Graphs {
+		fmt.Fprintf(&b, ".graph %s queue=%d\n", g.Name, g.QueueWords)
+		instrs, _ := asm.DecodeAll(g.Code)
+		for _, in := range instrs {
+			fmt.Fprintf(&b, "\t%s\n", in)
+		}
+	}
+	return b.String()
 }
 
 // VectorBase returns the byte base address of a vector by name (outermost
@@ -116,17 +132,16 @@ func CompileProgram(prog *occam.Program, opts Options) (*Artifact, error) {
 	if err := c.build(); err != nil {
 		return nil, err
 	}
-	obj, asmText, err := c.emit()
+	obj, err := c.emit()
 	if err != nil {
 		return nil, err
 	}
 	return &Artifact{
-		Object:   obj,
-		Prog:     prog,
-		Table:    table,
-		Graphs:   c.infos,
-		Layout:   c.layout,
-		Assembly: asmText,
+		Object: obj,
+		Prog:   prog,
+		Table:  table,
+		Graphs: c.infos,
+		Layout: c.layout,
 	}, nil
 }
 

@@ -1,6 +1,8 @@
 package compile
 
 import (
+	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -17,7 +19,7 @@ func compileRun(t *testing.T, src string, numPEs int, opts Options) (*sim.Result
 	}
 	res, err := sim.Run(art.Object, numPEs, sim.DefaultParams())
 	if err != nil {
-		t.Fatalf("Run: %v\nassembly:\n%s", err, art.Assembly)
+		t.Fatalf("Run: %v\nassembly:\n%s", err, art.Assembly())
 	}
 	return res, art
 }
@@ -386,7 +388,7 @@ seq
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a1.Assembly != a2.Assembly {
+	if a1.Assembly() != a2.Assembly() {
 		t.Error("compilation is not deterministic")
 	}
 }
@@ -395,10 +397,10 @@ func TestAssemblyDump(t *testing.T) {
 	_, art := compileRun(t, `var v[1]:
 v[0] := 42
 `, 1, Options{})
-	if !strings.Contains(art.Assembly, ".graph main") {
-		t.Errorf("assembly:\n%s", art.Assembly)
+	if !strings.Contains(art.Assembly(), ".graph main") {
+		t.Errorf("assembly:\n%s", art.Assembly())
 	}
-	if !strings.Contains(art.Assembly, "store") {
+	if !strings.Contains(art.Assembly(), "store") {
 		t.Error("no store emitted")
 	}
 }
@@ -475,5 +477,26 @@ func TestByteVectorErrors(t *testing.T) {
 		if _, err := Compile(c.src, Options{}); err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%q: error %v, want %q", c.src, err, c.want)
 		}
+	}
+}
+
+// TestLongStraightLineAllocation compiles one 6,000-node graph: a seq of
+// 2,000 dependent vector assignments, 38 KB of source and well inside a
+// /run body. Map-keyed predecessor sets made this quadratic with a large
+// constant (1.1 GB allocated); the dense analyses need a few tens of MB.
+func TestLongStraightLineAllocation(t *testing.T) {
+	var b strings.Builder
+	b.WriteString("var v[2]:\nseq\n")
+	for i := 0; i < 2000; i++ {
+		fmt.Fprintf(&b, "  v[%d] := v[%d] + %d\n", i%2, (i+1)%2, i%7)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := Compile(b.String(), Options{}); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if mb := float64(after.TotalAlloc-before.TotalAlloc) / (1 << 20); mb >= 128 {
+		t.Errorf("compiling allocated %.0f MB, want under 128", mb)
 	}
 }

@@ -78,7 +78,7 @@ func goldenHashes(t *testing.T, src string, opts compile.Options) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return sha(obj) + " " + sha([]byte(art.Assembly))
+	return sha(obj) + " " + sha([]byte(art.Assembly()))
 }
 
 // TestGoldenObjectCode compiles the golden corpus under every option set

@@ -2,6 +2,7 @@ package compile
 
 import (
 	"fmt"
+	"slices"
 
 	"queuemachine/internal/dfg"
 	"queuemachine/internal/ift"
@@ -74,14 +75,7 @@ func (c *compiler) inputOrder(ch *childGraph) []int {
 	for i, r := range ch.recvs {
 		weight[i] = a.DescendantCost(r)
 	}
-	// Stable insertion sort by descending weight.
-	for i := 1; i < len(perm); i++ {
-		j := i
-		for j > 0 && weight[perm[j]] > weight[perm[j-1]] {
-			perm[j], perm[j-1] = perm[j-1], perm[j]
-			j--
-		}
-	}
+	slices.SortStableFunc(perm, func(x, y int) int { return weight[y] - weight[x] })
 	return perm
 }
 

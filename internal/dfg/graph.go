@@ -74,9 +74,16 @@ func (n *Node) String() string {
 
 // Graph is an acyclic data-flow graph under construction or analysis. Nodes
 // are recorded in creation order, which also serves as the deterministic
-// tie-break order for every analysis and scheduler in this package.
+// tie-break order for every analysis and scheduler in this package. A
+// node's ID is its index in Nodes, so the analyses keep their per-node
+// state in ID-indexed slices.
 type Graph struct {
 	Nodes []*Node
+}
+
+// owns reports whether n is a node of g.
+func (g *Graph) owns(n *Node) bool {
+	return n != nil && n.ID >= 0 && n.ID < len(g.Nodes) && g.Nodes[n.ID] == n
 }
 
 // New returns an empty graph.
@@ -136,10 +143,10 @@ func (g *Graph) AddOrder(n *Node, preds ...*Node) {
 // deterministic order, without duplicates.
 func (g *Graph) Successors(v *Node) []*Node {
 	var out []*Node
-	seen := map[*Node]bool{}
+	seen := make([]bool, len(g.Nodes))
 	for _, s := range v.succs {
-		if !seen[s.to] {
-			seen[s.to] = true
+		if g.owns(s.to) && !seen[s.to.ID] {
+			seen[s.to.ID] = true
 			out = append(out, s.to)
 		}
 	}
@@ -170,16 +177,12 @@ func (g *Graph) Predecessors(v *Node) []*Node {
 // definitions: inputs have no operand arcs, every operand edge references a
 // node of this graph and a valid result port, and the graph is acyclic.
 func (g *Graph) Validate() error {
-	index := make(map[*Node]int, len(g.Nodes))
-	for i, n := range g.Nodes {
-		index[n] = i
-	}
 	for _, n := range g.Nodes {
 		if n.IsInput && len(n.Args) > 0 {
 			return fmt.Errorf("dfg: input node %s has %d operand arcs", n, len(n.Args))
 		}
 		for _, p := range n.Order {
-			if _, ok := index[p]; !ok {
+			if !g.owns(p) {
 				return fmt.Errorf("dfg: node %s has a foreign control-token arc from %s", n, p)
 			}
 		}
@@ -187,7 +190,7 @@ func (g *Graph) Validate() error {
 			if e.From == nil {
 				return fmt.Errorf("dfg: node %s operand %d is nil", n, i)
 			}
-			if _, ok := index[e.From]; !ok {
+			if !g.owns(e.From) {
 				return fmt.Errorf("dfg: node %s operand %d references a foreign node %s", n, i, e.From)
 			}
 			if e.Port < 0 || e.Port >= e.From.resultPorts() {
@@ -206,26 +209,28 @@ func (g *Graph) Validate() error {
 // partial order (every node after all of its predecessors), breaking ties by
 // node creation order. It reports an error if the graph contains a cycle.
 func (g *Graph) TopoOrder() ([]*Node, error) {
-	indeg := make(map[*Node]int, len(g.Nodes))
-	for _, n := range g.Nodes {
-		indeg[n] = len(n.Args) + len(n.Order)
-	}
+	// Kahn's algorithm; order doubles as the FIFO ready list, seeded in
+	// creation order for determinism. A queued node's in-degree becomes -1,
+	// so a producer with several arcs to it queues it once, at the first.
+	indeg := make([]int, len(g.Nodes))
 	order := make([]*Node, 0, len(g.Nodes))
-	// Kahn's algorithm with a creation-order ready list for determinism.
-	ready := make([]*Node, 0, len(g.Nodes))
-	for _, n := range g.Nodes {
-		if indeg[n] == 0 {
-			ready = append(ready, n)
+	for i, n := range g.Nodes {
+		if indeg[i] = len(n.Args) + len(n.Order); indeg[i] == 0 {
+			indeg[i] = -1
+			order = append(order, n)
 		}
 	}
-	for len(ready) > 0 {
-		n := ready[0]
-		ready = ready[1:]
-		order = append(order, n)
-		for _, s := range g.Successors(n) {
-			indeg[s] -= countEdges(s, n)
-			if indeg[s] == 0 {
-				ready = append(ready, s)
+	for head := 0; head < len(order); head++ {
+		n := order[head]
+		for _, s := range n.succs {
+			if g.owns(s.to) {
+				indeg[s.to.ID]--
+			}
+		}
+		for _, s := range n.succs {
+			if g.owns(s.to) && indeg[s.to.ID] == 0 {
+				indeg[s.to.ID] = -1
+				order = append(order, s.to)
 			}
 		}
 	}
@@ -235,39 +240,21 @@ func (g *Graph) TopoOrder() ([]*Node, error) {
 	return order, nil
 }
 
-func countEdges(to, from *Node) int {
-	c := 0
-	for _, e := range to.Args {
-		if e.From == from {
-			c++
-		}
-	}
-	for _, p := range to.Order {
-		if p == from {
-			c++
-		}
-	}
-	return c
-}
-
 // Reaches reports whether the π_G relation v π_G w holds: v == w or there
 // is a directed path from v to w.
 func (g *Graph) Reaches(v, w *Node) bool {
-	if v == w {
-		return true
-	}
-	seen := map[*Node]bool{}
+	seen := make([]bool, len(g.Nodes))
 	var walk func(*Node) bool
 	walk = func(n *Node) bool {
 		if n == w {
 			return true
 		}
-		if seen[n] {
+		if !g.owns(n) || seen[n.ID] {
 			return false
 		}
-		seen[n] = true
-		for _, s := range g.Successors(n) {
-			if walk(s) {
+		seen[n.ID] = true
+		for _, s := range n.succs {
+			if walk(s.to) {
 				return true
 			}
 		}

@@ -1,6 +1,9 @@
 package dfg
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Actor priorities for the instruction-sequencing heuristic of §4.7. Lower
 // values are emitted first when several instructions are ready:
@@ -45,16 +48,13 @@ func (g *Graph) Schedule(priority func(op string) int) ([]*Node, error) {
 	if priority == nil {
 		priority = Priority
 	}
-	pending := make(map[*Node]int, len(g.Nodes))
-	for _, n := range g.Nodes {
-		pending[n] = len(n.Args) + len(n.Order)
-	}
-	inReady := make(map[*Node]bool, len(g.Nodes))
+	pending := make([]int, len(g.Nodes))
+	prio := make([]int, len(g.Nodes))
 	var ready []*Node
-	for _, n := range g.Nodes {
-		if pending[n] == 0 {
+	for i, n := range g.Nodes {
+		prio[i] = priority(n.Op)
+		if pending[i] = len(n.Args) + len(n.Order); pending[i] == 0 {
 			ready = append(ready, n)
-			inReady[n] = true
 		}
 	}
 	out := make([]*Node, 0, len(g.Nodes))
@@ -63,18 +63,19 @@ func (g *Graph) Schedule(priority func(op string) int) ([]*Node, error) {
 		// creation order, so the first minimum wins ties.
 		best := 0
 		for i := 1; i < len(ready); i++ {
-			if priority(ready[i].Op) < priority(ready[best].Op) {
+			if prio[ready[i].ID] < prio[ready[best].ID] {
 				best = i
 			}
 		}
 		v := ready[best]
 		ready = append(ready[:best], ready[best+1:]...)
 		out = append(out, v)
-		for _, s := range g.Successors(v) {
-			pending[s] -= countEdges(s, v)
-			if pending[s] == 0 && !inReady[s] {
-				inReady[s] = true
-				ready = insertByID(ready, s)
+		for _, s := range v.succs {
+			if g.owns(s.to) {
+				if pending[s.to.ID]--; pending[s.to.ID] == 0 {
+					i, _ := slices.BinarySearchFunc(ready, s.to.ID, func(r *Node, id int) int { return r.ID - id })
+					ready = slices.Insert(ready, i, s.to)
+				}
 			}
 		}
 	}
@@ -82,17 +83,4 @@ func (g *Graph) Schedule(priority func(op string) int) ([]*Node, error) {
 		return nil, fmt.Errorf("dfg: schedule emitted %d of %d nodes; graph is cyclic or malformed", len(out), len(g.Nodes))
 	}
 	return out, nil
-}
-
-// insertByID keeps the ready list sorted by node creation order so that
-// priority ties resolve deterministically.
-func insertByID(ready []*Node, n *Node) []*Node {
-	i := len(ready)
-	for i > 0 && ready[i-1].ID > n.ID {
-		i--
-	}
-	ready = append(ready, nil)
-	copy(ready[i+1:], ready[i:])
-	ready[i] = n
-	return ready
 }

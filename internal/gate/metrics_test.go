@@ -247,7 +247,7 @@ func TestMetricsExposition(t *testing.T) {
 		t.Errorf("replicas observed %v runs, the gate proxied %d", served, runs)
 	}
 	for _, want := range []string{
-		`qmd_sim_cycles_total`, `qmd_sim_cycles_total{cause="execute"}`,
+		`qmd_sim_cycles_total`, `qmd_profiled_cycles_total{cause="execute"}`,
 		`qmd_disk_cache_entries`, `qmd_peer_fetches_total`,
 		`qmd_slo_slow_total{route="run"}`, `qmd_trace_committed_total`,
 	} {

@@ -13,10 +13,6 @@ import (
 // deadline-bounded simulations (tens of seconds).
 var latencyBuckets = []float64{0.001, 0.005, 0.025, 0.1, 0.5, 1, 5, 30}
 
-const cyclesHelp = "Simulated cycles served by successful runs; " +
-	"cause-labelled series attribute profiled runs' PE-cycles (and the " +
-	"message-processor and ring lanes' busy cycles) by cause."
-
 // declareMetrics registers every family /metrics serves and keeps the
 // counter and histogram handles the handlers increment; Stats reads the
 // same handles, so /statsz and /metrics cannot disagree. The disk, peer
@@ -26,8 +22,10 @@ func (s *Service) declareMetrics(reg *metrics.Registry) {
 	s.runs = reg.Counter("qmd_requests_total", "Requests received, by endpoint.", "endpoint", "run")
 	s.rejected = reg.Counter("qmd_shed_total", "Requests rejected with 429 because the admission queue was full.")
 	s.fails = reg.Counter("qmd_errors_total", "Requests answered with a non-shed error status.")
-	s.cyclesServed = reg.Counter("qmd_sim_cycles_total", cyclesHelp)
-	s.causeCycles = reg.CounterVec("qmd_sim_cycles_total", cyclesHelp, "cause", profile.AccountedCauses()...)
+	s.cyclesServed = reg.Counter("qmd_sim_cycles_total", "Simulated cycles (makespans) served by successful runs.")
+	s.causeCycles = reg.CounterVec("qmd_profiled_cycles_total",
+		"PE-cycles of profiled runs, and the message-processor and ring lanes' busy cycles, by cause.",
+		"cause", profile.AccountedCauses()...)
 	s.instrsServed = reg.Counter("qmd_sim_instructions_total", "Simulated instructions served by successful runs.")
 	s.schedRuns = reg.CounterVec("qmd_sched_runs_total", "Successful runs by scheduling policy.",
 		"policy", sched.Names()...)

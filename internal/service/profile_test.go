@@ -14,8 +14,8 @@ import (
 // TestRunProfileOptIn checks the /run profiling contract: stats carry an
 // attribution profile only when the request asks for one, the attribution
 // sums exactly to PEs × cycles, and the cumulative cause totals surface in
-// /statsz and as cause-labelled series in /metrics — without disturbing
-// the unlabelled qmd_sim_cycles_total.
+// /statsz and as qmd_profiled_cycles_total{cause} in /metrics, a family of
+// their own, apart from the makespan counter qmd_sim_cycles_total.
 func TestRunProfileOptIn(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 2})
 
@@ -69,13 +69,18 @@ func TestRunProfileOptIn(t *testing.T) {
 		t.Errorf("unlabelled qmd_sim_cycles_total = %v, statsz cycles_served %d", got, st.CyclesServed)
 	}
 	for cause, v := range st.CycleCauses {
-		key := fmt.Sprintf("qmd_sim_cycles_total{cause=%q}", cause)
+		key := fmt.Sprintf("qmd_profiled_cycles_total{cause=%q}", cause)
 		if got := m[key]; got != float64(v) {
 			t.Errorf("%s = %v, statsz says %d", key, got, v)
 		}
 	}
-	if _, ok := m[`qmd_sim_cycles_total{cause="execute"}`]; !ok {
-		t.Error(`qmd_sim_cycles_total{cause="execute"} missing after a profiled run`)
+	if _, ok := m[`qmd_profiled_cycles_total{cause="execute"}`]; !ok {
+		t.Error(`qmd_profiled_cycles_total{cause="execute"} missing after a profiled run`)
+	}
+	for key := range m {
+		if strings.HasPrefix(key, "qmd_sim_cycles_total{") {
+			t.Errorf("%s: qmd_sim_cycles_total carries labelled series", key)
+		}
 	}
 }
 
