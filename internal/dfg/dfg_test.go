@@ -307,6 +307,52 @@ func TestGenerateSequenceErrors(t *testing.T) {
 	}
 }
 
+// TestGenerateSequenceErrorTexts pins the error GenerateSequence reports
+// for each way an order can be wrong, on the Figure 4.14 graph (creation
+// and topological order a, b, c, d, +, -, ×, ÷, e) with a control-token
+// arc from + to -. A node of another graph is not one of g's nodes, even
+// when its ID matches, so the node it displaces is reported missing.
+func TestGenerateSequenceErrorTexts(t *testing.T) {
+	g, n := fig414()
+	g.AddOrder(n["-"], n["+"])
+	order, err := g.TopoOrder()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := strings.Join(names(order), " "); got != "a b c d + - × ÷ e" {
+		t.Fatalf("topological order %s", got)
+	}
+	twin, _ := fig414()
+	with := func(edit func(o []*Node)) []*Node {
+		o := append([]*Node(nil), order...)
+		edit(o)
+		return o
+	}
+	cases := []struct {
+		name  string
+		order []*Node
+		want  string
+	}{
+		{"too short", order[:3], "dfg: order covers 3 of 9 nodes"},
+		{"twice", with(func(o []*Node) { o[8] = o[0] }), "dfg: node a#0 appears twice in order"},
+		{"another graph", with(func(o []*Node) { o[8] = twin.Nodes[8] }), "dfg: node e#8 missing from order"},
+		{"missing", with(func(o []*Node) { o[2] = twin.Nodes[0] }), "dfg: node c#2 missing from order"},
+		{"control-token arc", with(func(o []*Node) { o[4], o[5] = o[5], o[4] }),
+			"dfg: order violates control-token arc +#4 -> -#5"},
+		{"π_G", with(func(o []*Node) { o[6], o[7] = o[7], o[6] }),
+			"dfg: order violates π_G: ×#6 scheduled at 7 after consumer ÷#7 at 6"},
+	}
+	for _, c := range cases {
+		_, err := g.GenerateSequence(c.order)
+		if err == nil || err.Error() != c.want {
+			t.Errorf("%s: error %v, want %q", c.name, err, c.want)
+		}
+	}
+	if _, err := g.GenerateSequence(order); err != nil {
+		t.Errorf("valid order: %v", err)
+	}
+}
+
 // TestMultiResultSequence checks the two-port rfork actor: both channel
 // identifiers get distinct result index sets.
 func TestMultiResultSequence(t *testing.T) {
