@@ -480,23 +480,28 @@ func TestByteVectorErrors(t *testing.T) {
 	}
 }
 
-// TestLongStraightLineAllocation compiles one 6,000-node graph: a seq of
-// 2,000 dependent vector assignments, 38 KB of source and well inside a
-// /run body. Map-keyed predecessor sets made this quadratic with a large
-// constant (1.1 GB allocated); the dense analyses need a few tens of MB.
+// TestLongStraightLineAllocation compiles one long graph: a seq of
+// dependent vector assignments, 38 KB of source for 2,000 statements and
+// well inside a /run body. Map-keyed predecessor sets made this quadratic
+// with a large constant (1.1 GB allocated at 2,000), and prepending each
+// statement to the use-def resolver's list of preceding definitions made
+// it quadratic again (102 MB at 4,000); the dense analyses and an
+// append-order list need a few tens of MB.
 func TestLongStraightLineAllocation(t *testing.T) {
-	var b strings.Builder
-	b.WriteString("var v[2]:\nseq\n")
-	for i := 0; i < 2000; i++ {
-		fmt.Fprintf(&b, "  v[%d] := v[%d] + %d\n", i%2, (i+1)%2, i%7)
-	}
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	if _, err := Compile(b.String(), Options{}); err != nil {
-		t.Fatal(err)
-	}
-	runtime.ReadMemStats(&after)
-	if mb := float64(after.TotalAlloc-before.TotalAlloc) / (1 << 20); mb >= 128 {
-		t.Errorf("compiling allocated %.0f MB, want under 128", mb)
+	for _, c := range []struct{ stmts, maxMB int }{{2000, 128}, {4000, 64}} {
+		var b strings.Builder
+		b.WriteString("var v[2]:\nseq\n")
+		for i := 0; i < c.stmts; i++ {
+			fmt.Fprintf(&b, "  v[%d] := v[%d] + %d\n", i%2, (i+1)%2, i%7)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := Compile(b.String(), Options{}); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		if mb := float64(after.TotalAlloc-before.TotalAlloc) / (1 << 20); mb >= float64(c.maxMB) {
+			t.Errorf("%d statements: compiling allocated %.0f MB, want under %d", c.stmts, mb, c.maxMB)
+		}
 	}
 }

@@ -37,12 +37,27 @@ func (g *Graph) GenerateSequence(order []*Node) (*Sequence, error) {
 	if len(order) != len(g.Nodes) {
 		return nil, fmt.Errorf("dfg: order covers %d of %d nodes", len(order), len(g.Nodes))
 	}
-	pos := make(map[*Node]int, len(order))
+	// pos[id] is the order position of node id, -1 while unplaced. A
+	// node of another graph takes no position, so the node it displaces
+	// is reported missing.
+	pos := make([]int, len(g.Nodes))
+	for i := range pos {
+		pos[i] = -1
+	}
 	for i, n := range order {
-		if _, dup := pos[n]; dup {
+		if !g.owns(n) {
+			continue
+		}
+		if pos[n.ID] >= 0 {
 			return nil, fmt.Errorf("dfg: node %s appears twice in order", n)
 		}
-		pos[n] = i
+		pos[n.ID] = i
+	}
+	at := func(n *Node) int {
+		if !g.owns(n) {
+			return -1
+		}
+		return pos[n.ID]
 	}
 	// Absolute operand base positions o_i.
 	o := make([]int, len(order)+1)
@@ -61,17 +76,20 @@ func (g *Graph) GenerateSequence(order []*Node) (*Sequence, error) {
 	// producing entry records the slot's absolute position, converted to
 	// a front-relative offset.
 	for _, n := range g.Nodes {
-		j, ok := pos[n]
-		if !ok {
+		j := pos[n.ID]
+		if j < 0 {
 			return nil, fmt.Errorf("dfg: node %s missing from order", n)
 		}
 		for _, p := range n.Order {
-			if pos[p] >= j {
+			if at(p) >= j {
 				return nil, fmt.Errorf("dfg: order violates control-token arc %s -> %s", p, n)
 			}
 		}
 		for l, e := range n.Args {
-			i := pos[e.From]
+			i := at(e.From)
+			if i < 0 {
+				return nil, fmt.Errorf("dfg: node %s missing from order", e.From)
+			}
 			if i >= j {
 				return nil, fmt.Errorf("dfg: order violates π_G: %s scheduled at %d after consumer %s at %d",
 					e.From, i, n, j)

@@ -11,14 +11,14 @@ import "queuemachine/internal/occam"
 func useAndDef(t *Table, h int) {
 	H := t.Entries[h]
 	for _, chain := range H.E {
-		var preceding []int // most recent first
+		var preceding []int // in chain order; findDef scans from the end
 		for _, hj := range chain {
 			child := t.Entries[hj]
 			for _, vi := range child.I {
 				findDef(t, vi.Val, hj, h, preceding, vi.D)
 			}
 			useAndDef(t, hj)
-			preceding = append([]int{hj}, preceding...)
+			preceding = append(preceding, hj)
 		}
 		for _, vi := range H.O {
 			findDef(t, vi.Val, h, h, preceding, vi.D)
@@ -26,10 +26,10 @@ func useAndDef(t *Table, h int) {
 	}
 }
 
-// findDef scans the preceding entries for the definition(s) of x; failing
-// that, it checks whether the value is imported through H's input set. The
-// matching definitions' U sets gain the user, and the user's D set gains the
-// definitions.
+// findDef scans the preceding entries, most recent (last) first, for the
+// definition(s) of x; failing that, it checks whether the value is imported
+// through H's input set. The matching definitions' U sets gain the user,
+// and the user's D set gains the definitions.
 //
 // Control tokens follow the multiple-readers/single-writer discipline of
 // §4.6 (Figure 4.19): a READER of the token links only to the most recent
@@ -44,7 +44,8 @@ func findDef(t *Table, x Value, user, h int, preceding []int, d map[int]bool) {
 	// like a writer.
 	collectAll := x.Token && (user == h || t.Entries[user].WritesValue(x))
 	skipReads := x.Token && !collectAll
-	for _, hk := range preceding {
+	for k := len(preceding) - 1; k >= 0; k-- {
+		hk := preceding[k]
 		vi := t.Entries[hk].hasOutput(x)
 		if vi == nil {
 			continue

@@ -81,42 +81,98 @@ func (s *Stats) AvgQueueLength() float64 {
 // Program is an object file with its instruction streams pre-decoded for
 // execution.
 type Program struct {
-	Obj    *isa.Object
+	Obj *isa.Object
+	// graphs[gi] is graph gi's stream, one slot per code word; the
+	// streams share one backing array.
 	graphs [][]decodedInstr
 }
 
-// decodedInstr is one pre-decoded instruction with the opcode's static
-// properties the execute path reads. It holds no pointers (the mnemonic,
-// a string, is looked up only for a recorder), so the decoded streams of
-// a cached program are memory the collector never scans.
+// instrClass is the execute path's dispatch class of an opcode.
+type instrClass uint8
+
+const (
+	classALU instrClass = iota
+	classBranch
+	classMemory
+	classChannel
+	classTrap
+	classDup
+)
+
+// decodedInstr is the pre-decoded slot of one code word. Its fields are
+// only as wide as the instruction format of Figures 5.6–5.7 — a 6-bit
+// opcode, per source a mode, a register number and an immediate, 5-bit
+// destination registers or 8-bit dup offsets, a 3-bit QP increment — plus
+// the opcode's dispatch class, source count and the instruction's length
+// in words, so a slot is 20 bytes. It holds no pointers (the mnemonic, a
+// string, is looked up only for a recorder), so the decoded streams of a
+// cached program are memory the collector never scans.
 type decodedInstr struct {
-	in                            isa.Instr
-	words                         int // 0 marks a slot that is not the start of an instruction
-	srcs                          uint8
-	branch, memory, channel, trap bool
+	imm1, imm2   int32 // source immediates (SrcSmallImm, SrcWordImm)
+	op           isa.Opcode
+	class        instrClass
+	words        uint8 // 0 marks a slot that is not the start of an instruction
+	srcs         uint8
+	mode1, mode2 isa.SrcMode
+	reg1, reg2   uint8 // source registers (SrcWindow, SrcGlobal)
+	dst1, dst2   uint8 // destination registers, or dup queue offsets
+	qpInc        uint8
+	cont         bool
+}
+
+// classOf maps an opcode's static description to its dispatch class.
+func classOf(op isa.Opcode, info isa.Info) instrClass {
+	switch {
+	case op == isa.OpDup1 || op == isa.OpDup2:
+		return classDup
+	case info.Branch:
+		return classBranch
+	case info.Memory:
+		return classMemory
+	case info.Channel:
+		return classChannel
+	case info.Trap:
+		return classTrap
+	}
+	return classALU
 }
 
 // LoadProgram validates and pre-decodes an object program. Each graph's
-// stream decodes into a dense array indexed by program counter — the fetch
-// on the simulator's hot path is an array load, not a map probe — with the
-// opcode's source count and class flags cached alongside so execution never
-// consults the opcode table. A loaded program is read-only: any number of
-// simulations may share one.
+// stream decodes into a dense array of slots indexed by program counter —
+// the fetch on the simulator's hot path is an array load, not a map probe.
+// A slot holds the instruction starting at that word in fields no wider
+// than its encoding, with the opcode's dispatch class and source count
+// cached alongside so execution never consults the opcode table; the slot
+// of a word-immediate extension word is marked as holding no instruction.
+// The streams stay word-indexed so that program counters — RegPC reads,
+// computed jumps, recorder pcs and error texts — mean the same as in the
+// object. All of a program's slots share one allocation. A loaded program
+// is read-only: any number of simulations may share one.
 func LoadProgram(obj *isa.Object) (*Program, error) {
 	if err := obj.Validate(); err != nil {
 		return nil, err
 	}
+	words := 0
+	for _, g := range obj.Graphs {
+		words += len(g.Code)
+	}
+	slots := make([]decodedInstr, words)
 	p := &Program{Obj: obj, graphs: make([][]decodedInstr, len(obj.Graphs))}
 	for gi, g := range obj.Graphs {
-		code := make([]decodedInstr, len(g.Code))
+		code := slots[:len(g.Code):len(g.Code)]
+		slots = slots[len(g.Code):]
 		for pc := 0; pc < len(g.Code); {
 			in, n, err := isa.Decode(g.Code[pc:])
 			if err != nil {
 				return nil, fmt.Errorf("pe: graph %q pc %d: %w", g.Name, pc, err)
 			}
 			info, _ := isa.Lookup(in.Op)
-			code[pc] = decodedInstr{in: in, words: n, srcs: uint8(info.Srcs),
-				branch: info.Branch, memory: info.Memory, channel: info.Channel, trap: info.Trap}
+			code[pc] = decodedInstr{
+				imm1: in.Src1.Imm, imm2: in.Src2.Imm,
+				op: in.Op, class: classOf(in.Op, info), words: uint8(n), srcs: uint8(info.Srcs),
+				mode1: in.Src1.Mode, mode2: in.Src2.Mode, reg1: uint8(in.Src1.Reg), reg2: uint8(in.Src2.Reg),
+				dst1: uint8(in.Dst1), dst2: uint8(in.Dst2), qpInc: uint8(in.QPInc), cont: in.Cont,
+			}
 			pc += n
 		}
 		p.graphs[gi] = code
@@ -149,23 +205,23 @@ func (m *Machine) SetRecorder(rec trace.Recorder) { m.rec = rec }
 
 // readSrc evaluates a source operand, returning its value and any extra
 // cycles beyond the base instruction cost.
-func (m *Machine) readSrc(c *Context, s *isa.Src) (int32, int, error) {
-	switch s.Mode {
+func (m *Machine) readSrc(c *Context, mode isa.SrcMode, reg uint8, imm int32) (int32, int, error) {
+	switch mode {
 	case isa.SrcSmallImm:
-		return s.Imm, 0, nil
+		return imm, 0, nil
 	case isa.SrcWordImm:
-		return s.Imm, m.Params.ImmWord, nil
+		return imm, m.Params.ImmWord, nil
 	case isa.SrcGlobal:
-		switch s.Reg {
+		switch reg {
 		case isa.RegQP:
 			return int32(c.QP), 0, nil
 		case isa.RegPC:
 			return int32(c.PC), 0, nil
 		default:
-			return c.Globals[s.Reg-16], 0, nil
+			return c.Globals[reg-16], 0, nil
 		}
 	case isa.SrcWindow:
-		idx, err := c.queueIndex(s.Reg)
+		idx, err := c.queueIndex(int(reg))
 		if err != nil {
 			return 0, 0, err
 		}
@@ -176,7 +232,7 @@ func (m *Machine) readSrc(c *Context, s *isa.Src) (int32, int, error) {
 		m.Stats.WindowMisses++
 		return c.Page[idx], m.Params.Mem, nil
 	}
-	return 0, 0, fmt.Errorf("pe: bad source mode %d", s.Mode)
+	return 0, 0, fmt.Errorf("pe: bad source mode %d", mode)
 }
 
 // writeReg writes a result to a destination register: window registers
@@ -218,11 +274,11 @@ func (m *Machine) writeReg(c *Context, reg int, val int32) error {
 
 // writeResult distributes an instruction's result to its two destination
 // fields and records it for subsequent dup instructions.
-func (m *Machine) writeResult(c *Context, in *isa.Instr, val int32) error {
-	if err := m.writeReg(c, in.Dst1, val); err != nil {
+func (m *Machine) writeResult(c *Context, d *decodedInstr, val int32) error {
+	if err := m.writeReg(c, int(d.dst1), val); err != nil {
 		return err
 	}
-	if err := m.writeReg(c, in.Dst2, val); err != nil {
+	if err := m.writeReg(c, int(d.dst2), val); err != nil {
 		return err
 	}
 	c.LastResult = val
@@ -267,7 +323,6 @@ func (m *Machine) ExecOne(c *Context, now int64) (Outcome, error) {
 		return Outcome{}, fmt.Errorf("pe: context %d: no instruction at graph %d pc %d", c.ID, c.Graph, c.PC)
 	}
 	d := &g[c.PC]
-	in := &d.in
 	graph, pc, wm := c.Graph, c.PC, m.Stats.WindowMisses
 	m.Stats.Instructions++
 	m.Stats.QueueSum += int64(c.QueueLength())
@@ -280,7 +335,7 @@ func (m *Machine) ExecOne(c *Context, now int64) (Outcome, error) {
 		code, arg int32
 	)
 
-	if in.IsDup() {
+	if d.class == classDup {
 		extra, err := m.execDup(c, d)
 		if err != nil {
 			return Outcome{}, err
@@ -290,14 +345,14 @@ func (m *Machine) ExecOne(c *Context, now int64) (Outcome, error) {
 		// Source operands.
 		var v1, v2 int32
 		if d.srcs >= 1 {
-			v, extra, err := m.readSrc(c, &in.Src1)
+			v, extra, err := m.readSrc(c, d.mode1, d.reg1, d.imm1)
 			if err != nil {
 				return Outcome{}, err
 			}
 			v1, cycles = v, cycles+extra
 		}
 		if d.srcs >= 2 {
-			v, extra, err := m.readSrc(c, &in.Src2)
+			v, extra, err := m.readSrc(c, d.mode2, d.reg2, d.imm2)
 			if err != nil {
 				return Outcome{}, err
 			}
@@ -305,52 +360,52 @@ func (m *Machine) ExecOne(c *Context, now int64) (Outcome, error) {
 		}
 
 		// The QP increment takes effect after operand fetch, before results.
-		c.advanceQP(in.QPInc)
-		c.PC += d.words
+		c.advanceQP(int(d.qpInc))
+		c.PC += int(d.words)
 
-		switch {
-		case d.branch:
+		switch d.class {
+		case classBranch:
 			m.Stats.Branches++
 			cycles += m.Params.Branch - m.Params.ALU
 			taken := isa.Truthy(v1)
-			if in.Op == isa.OpBeq {
+			if d.op == isa.OpBeq {
 				taken = !taken
 			}
 			if taken {
 				c.PC += int(v2)
 			}
-		case d.memory:
+		case classMemory:
 			m.Stats.MemOps++
-			extra, err := m.execMem(c, in, v1, v2)
+			extra, err := m.execMem(c, d, v1, v2)
 			if err != nil {
 				return Outcome{}, err
 			}
 			cycles += m.Params.Mem + extra
-		case d.channel:
+		case classChannel:
 			m.Stats.ChannelOps++
 			cycles += m.Params.ChanOp
 			ch = v1
-			if in.Op == isa.OpSend {
+			if d.op == isa.OpSend {
 				act, val = ActSend, v2
 			} else {
 				act = ActRecv
-				c.PendDst1, c.PendDst2 = in.Dst1, in.Dst2
+				c.PendDst1, c.PendDst2 = int(d.dst1), int(d.dst2)
 			}
-		case d.trap:
-			if in.Op == isa.OpFret || in.Op == isa.OpRett {
-				return Outcome{}, fmt.Errorf("pe: context %d: %v outside kernel mode", c.ID, in.Op)
+		case classTrap:
+			if d.op == isa.OpFret || d.op == isa.OpRett {
+				return Outcome{}, fmt.Errorf("pe: context %d: %v outside kernel mode", c.ID, d.op)
 			}
 			m.Stats.Traps++
 			cycles += m.Params.Trap
 			act, code, arg = ActTrap, v1, v2
-			c.PendDst1, c.PendDst2 = in.Dst1, in.Dst2
+			c.PendDst1, c.PendDst2 = int(d.dst1), int(d.dst2)
 		default:
 			// Logical, arithmetic or comparison operation.
-			res, err := isa.EvalALU(in.Op, v1, v2)
+			res, err := isa.EvalALU(d.op, v1, v2)
 			if err != nil {
 				return Outcome{}, fmt.Errorf("pe: context %d graph %d pc %d: %w", c.ID, c.Graph, c.PC, err)
 			}
-			if err := m.writeResult(c, in, res); err != nil {
+			if err := m.writeResult(c, d, res); err != nil {
 				return Outcome{}, err
 			}
 		}
@@ -360,7 +415,7 @@ func (m *Machine) ExecOne(c *Context, now int64) (Outcome, error) {
 		// Presence-bit stall: window misses fetched from the memory page
 		// each cost Params.Mem beyond the base instruction cycles (§5.2).
 		stall := int(m.Stats.WindowMisses-wm) * m.Params.Mem
-		info, _ := isa.Lookup(in.Op)
+		info, _ := isa.Lookup(d.op)
 		m.rec.Instr(m.PEID, c.ID, graph, pc, info.Mnemonic, now, cycles, stall)
 	}
 	return Outcome{Cycles: cycles, Act: act, Ch: ch, Val: val, Code: code, Arg: arg}, nil
@@ -373,9 +428,9 @@ func (m *Machine) ExecOne(c *Context, now int64) (Outcome, error) {
 func (m *Machine) execDup(c *Context, d *decodedInstr) (int, error) {
 	// The offsets stay in a stack array: the hot loop must not allocate.
 	cycles := 0
-	offsets := [2]int{d.in.Dst1, d.in.Dst2}
+	offsets := [2]int{int(d.dst1), int(d.dst2)}
 	n := 1
-	if d.in.Op == isa.OpDup2 {
+	if d.op == isa.OpDup2 {
 		n = 2
 	}
 	for _, off := range offsets[:n] {
@@ -393,19 +448,19 @@ func (m *Machine) execDup(c *Context, d *decodedInstr) (int, error) {
 		}
 		cycles += m.Params.Mem
 	}
-	c.PC += d.words
+	c.PC += int(d.words)
 	return cycles, nil
 }
 
 // execMem performs a data-memory instruction's access and result write,
 // returning the bus's extra cycles.
-func (m *Machine) execMem(c *Context, in *isa.Instr, v1, v2 int32) (int, error) {
+func (m *Machine) execMem(c *Context, d *decodedInstr, v1, v2 int32) (int, error) {
 	var (
 		word  int32
 		extra int
 		err   error
 	)
-	switch in.Op {
+	switch d.op {
 	case isa.OpFetch:
 		word, extra, err = m.Mem.FetchWord(m.PEID, v1)
 	case isa.OpFchb:
@@ -418,8 +473,8 @@ func (m *Machine) execMem(c *Context, in *isa.Instr, v1, v2 int32) (int, error) 
 	if err != nil {
 		return 0, fmt.Errorf("pe: context %d: %w", c.ID, err)
 	}
-	if in.Op == isa.OpFetch || in.Op == isa.OpFchb {
-		if err := m.writeResult(c, in, word); err != nil {
+	if d.op == isa.OpFetch || d.op == isa.OpFchb {
+		if err := m.writeResult(c, d, word); err != nil {
 			return 0, err
 		}
 	}

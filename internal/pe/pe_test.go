@@ -1,11 +1,13 @@
 package pe
 
 import (
+	"encoding/binary"
 	"fmt"
 	"reflect"
 	"slices"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"queuemachine/internal/asm"
 	"queuemachine/internal/isa"
@@ -463,4 +465,56 @@ func TestDecodedInstrHoldsNoPointers(t *testing.T) {
 	if hasPointers(reflect.TypeOf(decodedInstr{})) {
 		t.Errorf("decodedInstr holds a pointer: %+v", reflect.TypeOf(decodedInstr{}))
 	}
+}
+
+// TestDecodedInstrSize keeps a loaded program near the size of its object
+// code: one slot per code word, no wider than 24 bytes.
+func TestDecodedInstrSize(t *testing.T) {
+	if size := unsafe.Sizeof(decodedInstr{}); size > 24 {
+		t.Errorf("decodedInstr is %d bytes, want at most 24", size)
+	}
+}
+
+// FuzzLoadProgram loads a one-graph object of arbitrary code words:
+// LoadProgram must fail exactly when the object fails validation, and
+// every program it accepts must decode slot for slot as isa.Decode reads
+// the words.
+func FuzzLoadProgram(f *testing.F) {
+	obj, err := asm.Assemble(`
+.graph main queue=32
+	plus++ r0,#100000 :r0,r2
+	dup2 :r3,r200 >
+	bne r1,#-2
+	fetch #4 :qp
+	trap #0,#0
+`)
+	if err != nil {
+		f.Fatal(err)
+	}
+	var valid []byte
+	for _, w := range obj.Graphs[0].Code {
+		valid = binary.LittleEndian.AppendUint32(valid, w)
+	}
+	f.Add(valid, uint16(32))
+	f.Add(valid[:8], uint16(32)) // a truncated word immediate
+	f.Add(valid, uint16(48))     // not a power of two
+	f.Add([]byte{}, uint16(1))
+	f.Fuzz(func(t *testing.T, b []byte, queue uint16) {
+		code := make([]uint32, len(b)/4)
+		for i := range code {
+			code[i] = binary.LittleEndian.Uint32(b[4*i:])
+		}
+		obj := &isa.Object{Graphs: []isa.GraphCode{{Name: "g", Code: code, QueueWords: int(queue)}}}
+		verr := obj.Validate()
+		prog, err := LoadProgram(obj)
+		if (err == nil) != (verr == nil) {
+			t.Fatalf("LoadProgram error %v, Validate error %v", err, verr)
+		}
+		if err != nil {
+			return
+		}
+		if err := CheckSlots(prog); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
