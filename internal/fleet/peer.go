@@ -20,6 +20,10 @@ import (
 // disagree about ring ownership during a health transition.
 const PeerHeader = "X-Qmd-Peer"
 
+// WorkersHeader carries a replica's worker count on every response it
+// sends. qgate reads it to tell when all of a replica's workers are busy.
+const WorkersHeader = "X-Qmd-Workers"
+
 // CompileOptions mirrors compile.Options with the service's stable wire
 // names; it is the JSON shape of the "options" field on /compile and
 // /run requests, shared by the service handlers, the peer client, and
@@ -79,7 +83,8 @@ type peerCompileResponse struct {
 }
 
 // FetchCompile asks the peer at base to compile source (serving from its
-// own caches when it can) and returns the object program. The request
+// own caches when it can) and returns the object program, unvalidated,
+// with each graph's code trimmed to its length. The request
 // carries PeerHeader so the peer answers locally instead of forwarding
 // again.
 func (c *Client) FetchCompile(ctx context.Context, base, source string, opts compile.Options) (*isa.Object, error) {
@@ -114,9 +119,9 @@ func (c *Client) FetchCompile(ctx context.Context, base, source string, opts com
 	if pr.Object == nil {
 		return nil, fmt.Errorf("fleet: peer %s returned no object", base)
 	}
-	if err := pr.Object.Validate(); err != nil {
-		return nil, fmt.Errorf("fleet: peer %s returned invalid object: %w", base, err)
-	}
+	// The object is not validated here: the caller admits it through
+	// pe.LoadProgram, which rejects exactly what Validate would.
+	pr.Object.TrimCode()
 	return pr.Object, nil
 }
 

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"queuemachine/internal/compile"
+	"queuemachine/internal/workloads"
 )
 
 const peerTestSource = "var v[1]:\nseq\n  v[0] := 7\n"
@@ -61,6 +62,17 @@ func TestClientFetchCompile(t *testing.T) {
 	}
 	if len(obj.Graphs) == 0 {
 		t.Error("fetched object has no graphs")
+	}
+	// A program with streams long enough that JSON decoding leaves
+	// slack comes back with exact-length code.
+	big, err := c.FetchCompile(context.Background(), ts.URL, workloads.MatMul(3).Source, compile.Options{})
+	if err != nil {
+		t.Fatalf("FetchCompile: %v", err)
+	}
+	for _, g := range big.Graphs {
+		if cap(g.Code) != len(g.Code) {
+			t.Errorf("graph %q: code cap %d, len %d", g.Name, cap(g.Code), len(g.Code))
+		}
 	}
 	if !sawHeader.Load() {
 		t.Error("peer request did not carry the peer header")

@@ -15,6 +15,13 @@
 // minimally, by consistent-hash construction), and a transport error on a
 // proxied request marks the replica dead immediately and fails over to
 // the next owner on the ring without surfacing the error to the client.
+//
+// Routing is also load-aware, after consistent hashing with bounded loads
+// (Mirrokni, Thorup and Zadimoghaddam, SODA 2018): when every worker on a
+// /run's owner is busy with this gate's requests and a later owner on the
+// ring has one free, the request goes there first. The spill replica
+// serves the program from its own tiers, fetching it from the owner's
+// memory once, so locality is given up only while the owner is saturated.
 package gate
 
 import (
@@ -25,12 +32,14 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/maphash"
 	"io"
 	"net/http"
 	"slices"
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"queuemachine/internal/compile"
@@ -106,6 +115,15 @@ type replicaState struct {
 	server5xx *metrics.Counter // of those, 5xx responses
 	transport *metrics.Counter // connect/read failures (failed over)
 	latency   *metrics.Histogram
+
+	// workers is the worker count the replica last advertised in
+	// fleet.WorkersHeader; 0 until it has answered once.
+	workers atomic.Int64
+	// inflight counts this gate's attempts on the replica from before the
+	// request is sent until its relay ends, and bodies counts them by body
+	// hash. Both are guarded by Gate.mu.
+	inflight int
+	bodies   map[uint64]int
 }
 
 // Gate is one front-proxy instance.
@@ -122,7 +140,10 @@ type Gate struct {
 	slo      *xtrace.SLOTracker // nil without Config.SLOs
 	metrics  *metrics.Registry  // behind /metrics
 
-	requests, failovers, unrouted *metrics.Counter
+	mu   sync.Mutex   // guards every replicaState's inflight and bodies
+	seed maphash.Seed // hashes request bodies for replicaState.bodies
+
+	requests, failovers, unrouted, spills *metrics.Counter
 }
 
 // New builds a gate over the replica set. It fails only on an empty or
@@ -146,6 +167,7 @@ func New(cfg Config) (*Gate, error) {
 		start:    time.Now(),
 		replicas: make(map[string]*replicaState, len(cfg.Replicas)),
 		metrics:  metrics.NewRegistry(),
+		seed:     maphash.MakeSeed(),
 		traces: xtrace.NewRecorder(xtrace.RecorderConfig{
 			Capacity:      cfg.TraceCapacity,
 			SlowThreshold: cfg.TraceSlow,
@@ -175,6 +197,7 @@ func (g *Gate) declareMetrics() {
 	g.requests = reg.Counter("qgate_requests_total", "Requests accepted by the gate.")
 	g.failovers = reg.Counter("qgate_failovers_total", "Proxy attempts re-routed past a dead replica.")
 	g.unrouted = reg.Counter("qgate_unrouted_total", "Requests no replica could be reached for (502).")
+	g.spills = reg.Counter("qgate_spills_total", "Runs sent first to a replica other than their ring owner.")
 	reg.Gauge("qgate_live_replicas", "Replicas currently on the ring.",
 		func() float64 { return float64(g.ring.LiveCount()) })
 	for _, url := range slices.Sorted(slices.Values(g.cfg.Replicas)) {
@@ -187,6 +210,7 @@ func (g *Gate) declareMetrics() {
 				"Transport failures, by replica.", "replica", url),
 			latency: reg.Histogram("qgate_replica_seconds",
 				"Proxied request latency, by replica.", metrics.LatencyBounds(), "replica", url),
+			bodies: make(map[uint64]int),
 		}
 		reg.Gauge("qgate_replica_healthy", "1 while the replica passes health checks.", func() float64 {
 			if g.ring.Alive(url) {
@@ -300,20 +324,28 @@ func (g *Gate) handleProxy(w http.ResponseWriter, r *http.Request, path string) 
 	}
 	key := shardKey(body)
 	owners := g.ring.Owners(key, len(g.cfg.Replicas))
+	balance := path == "/run"
 	if len(owners) == 0 {
 		// Every replica is marked dead. Probing found nobody, but a
 		// request is here now: try the full set in ring order rather
 		// than refusing outright — a replica that just came back serves
 		// it and the next health sweep revives the ring.
 		owners = g.ring.Nodes()
+		balance = false
 	}
+	sum := maphash.Bytes(g.seed, body)
+	spill := g.route(owners, sum, balance)
 	for i, replica := range owners {
 		if i > 0 {
 			g.failovers.Inc()
+			g.claim(replica, sum)
+			spill = ""
 		}
 		// Each attempt is its own span: a mid-request failover leaves two
 		// routing spans under one trace, the dead replica's marked failed.
-		if g.tryReplica(ctx, status, r, replica, path, body, i) {
+		served := g.tryReplica(ctx, status, r, replica, path, body, i, spill)
+		g.release(replica, sum)
+		if served {
 			return
 		}
 		if r.Context().Err() != nil {
@@ -324,6 +356,74 @@ func (g *Gate) handleProxy(w http.ResponseWriter, r *http.Request, path string) 
 	err = errors.New("no replica reachable")
 	root.SetError(err)
 	writeJSON(status, http.StatusBadGateway, errorDoc(ctx, err.Error()))
+}
+
+// route fixes the attempt order of one request and claims a slot on its
+// first replica, under one lock so that concurrent requests see each
+// other's claims. owners is in ring order and is reordered in place.
+// With balance set (a /run on the live ring) two rules may move one later
+// owner to the front, leaving the rest in failover order:
+//   - a replica already relaying a byte-identical body comes first, so
+//     the request coalesces with it there;
+//   - otherwise, when the owner is saturated — its advertised workers are
+//     all taken by this gate's attempts — the first later owner with a
+//     free worker comes first.
+//
+// A replica that has not yet advertised its workers is never counted
+// saturated or free. route returns the owner a moved request bypassed.
+func (g *Gate) route(owners []string, sum uint64, balance bool) (spill string) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if balance {
+		pick := slices.IndexFunc(owners, func(o string) bool { return g.replicas[o].bodies[sum] > 0 })
+		if pick < 0 && g.saturated(owners[0]) {
+			for i := 1; i < len(owners) && pick < 0; i++ {
+				if st := g.replicas[owners[i]]; int64(st.inflight) < st.workers.Load() {
+					pick = i
+				}
+			}
+		}
+		if pick > 0 {
+			spill = owners[0]
+			moved := owners[pick]
+			copy(owners[1:pick+1], owners[:pick])
+			owners[0] = moved
+			g.spills.Inc()
+		}
+	}
+	g.claimLocked(owners[0], sum)
+	return spill
+}
+
+// saturated reports whether replica is known to have no free worker for
+// another of this gate's requests. The caller holds g.mu.
+func (g *Gate) saturated(replica string) bool {
+	st := g.replicas[replica]
+	w := st.workers.Load()
+	return w > 0 && int64(st.inflight) >= w
+}
+
+// claim counts an attempt on replica as in flight; release ends it.
+func (g *Gate) claim(replica string, sum uint64) {
+	g.mu.Lock()
+	g.claimLocked(replica, sum)
+	g.mu.Unlock()
+}
+
+func (g *Gate) claimLocked(replica string, sum uint64) {
+	st := g.replicas[replica]
+	st.inflight++
+	st.bodies[sum]++
+}
+
+func (g *Gate) release(replica string, sum uint64) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	st := g.replicas[replica]
+	st.inflight--
+	if st.bodies[sum]--; st.bodies[sum] == 0 {
+		delete(st.bodies, sum)
+	}
 }
 
 // errorDoc is a gate-originated error body; on a traced request it
@@ -361,8 +461,9 @@ func (s *statusWriter) Flush() {
 // relayChunk sizes the copy buffer used to stream proxied response
 // bodies; the gate's memory per relayed response is bounded by it no
 // matter how large the body (a dump_data run's data segment can be
-// many MiB).
-const relayChunk = 64 << 10
+// many MiB). Typical /run answers are a few KB, so a larger chunk would
+// only hold idle pooled memory per concurrent relay.
+const relayChunk = 16 << 10
 
 // relayBufs recycles the relay buffers: a fresh zeroed chunk per response
 // was a fifth of the bytes a hot-cache fleet allocated.
@@ -372,17 +473,23 @@ var relayBufs = sync.Pool{New: func() any {
 }}
 
 // tryReplica proxies one attempt. It reports false only on a transport
-// error (the replica never answered), in which case the replica is
-// marked dead and nothing has been written to w — the caller may fail
-// over. Any HTTP response, error or not, is relayed as-is, streamed
-// through a bounded buffer with a flush per chunk so large bodies reach
-// the client as they arrive instead of accumulating in gate memory.
-func (g *Gate) tryReplica(ctx context.Context, w http.ResponseWriter, r *http.Request, replica, path string, body []byte, attempt int) bool {
+// error (the replica never answered), in which case nothing has been
+// written to w and the caller may fail over; the replica is marked dead
+// unless the client is the one that went away. Any HTTP response, error
+// or not, is relayed as-is, streamed through a bounded buffer with a
+// flush per chunk so large bodies reach the client as they arrive instead
+// of accumulating in gate memory. The replica's advertised worker count
+// is read off every response. spill names the owner the attempt bypassed,
+// if any.
+func (g *Gate) tryReplica(ctx context.Context, w http.ResponseWriter, r *http.Request, replica, path string, body []byte, attempt int, spill string) bool {
 	st := g.replicas[replica]
 	actx, span := xtrace.StartSpan(ctx, "gate.attempt")
 	span.SetAttr("replica", replica)
 	if attempt > 0 {
 		span.SetAttr("failover", strconv.Itoa(attempt))
+	}
+	if spill != "" {
+		span.SetAttr("spill", spill)
 	}
 	req, err := http.NewRequestWithContext(r.Context(), http.MethodPost,
 		replica+path, bytes.NewReader(body))
@@ -397,11 +504,16 @@ func (g *Gate) tryReplica(ctx context.Context, w http.ResponseWriter, r *http.Re
 	resp, err := g.proxy.Do(req)
 	if err != nil {
 		st.transport.Inc()
-		g.ring.SetAlive(replica, false)
+		if r.Context().Err() == nil {
+			g.ring.SetAlive(replica, false)
+		}
 		span.EndErr(err)
 		return false
 	}
 	defer resp.Body.Close()
+	if n, err := strconv.ParseInt(resp.Header.Get(fleet.WorkersHeader), 10, 64); err == nil && n > 0 {
+		st.workers.Store(n)
+	}
 	st.requests.Inc()
 	st.latency.Observe(time.Since(start))
 	if resp.StatusCode >= 500 {
@@ -517,6 +629,7 @@ type Stats struct {
 	Requests      int64                      `json:"requests"`
 	Failovers     int64                      `json:"failovers"`
 	Unrouted      int64                      `json:"unrouted"`
+	Spills        int64                      `json:"spills"`
 	LiveReplicas  int                        `json:"live_replicas"`
 	Replicas      map[string]ReplicaStats    `json:"replicas"`
 	ReplicaStatsz map[string]json.RawMessage `json:"replica_statsz,omitempty"`
@@ -549,6 +662,7 @@ func (g *Gate) Snapshot(ctx context.Context, fetchReplicas bool) Stats {
 		Requests:      g.requests.Load(),
 		Failovers:     g.failovers.Load(),
 		Unrouted:      g.unrouted.Load(),
+		Spills:        g.spills.Load(),
 		LiveReplicas:  g.ring.LiveCount(),
 		Replicas:      make(map[string]ReplicaStats, len(g.replicas)),
 		FleetLatency:  g.fleetLatency().Snapshot(),

@@ -76,6 +76,25 @@ func (f *testFleet) post(t *testing.T, path string, body any) (int, map[string]a
 	return resp.StatusCode, out, resp.Header.Get(ReplicaHeader)
 }
 
+// learnCapacity sends distinct compiles through the gate until every
+// replica has advertised its worker count, so load-aware routing is on.
+func (f *testFleet) learnCapacity(t *testing.T) {
+	t.Helper()
+	for i := 0; ; i++ {
+		known := true
+		for _, st := range f.g.replicas {
+			known = known && st.workers.Load() > 0
+		}
+		if known {
+			return
+		}
+		if i > 200 {
+			t.Fatal("replicas never advertised their worker counts")
+		}
+		f.post(t, "/compile", map[string]any{"source": fmt.Sprintf("var v[1]:\nseq\n  v[0] := %d\n", 5000+i)})
+	}
+}
+
 const testSrc = "var v[1]:\nseq\n  v[0] := 42\n"
 
 func TestGateRouteStability(t *testing.T) {
@@ -214,9 +233,13 @@ func TestGateFailover(t *testing.T) {
 
 // TestGateCoalescesThroughProxy drives identical concurrent runs through
 // the gate; because they shard to one replica, that replica's
-// singleflight must collapse them.
+// singleflight must collapse them. The gate knows every replica's worker
+// count first, so the burst outnumbers the owner's workers and only the
+// rule that keeps a body with its in-flight twin holds it together.
 func TestGateCoalescesThroughProxy(t *testing.T) {
 	f := newTestFleet(t, 3)
+	f.learnCapacity(t)
+	before := f.replicaMisses(t)
 	body := map[string]any{"source": workloads.MatMul(3).Source, "pes": 4}
 	const n = 6
 	var wg sync.WaitGroup
@@ -240,23 +263,36 @@ func TestGateCoalescesThroughProxy(t *testing.T) {
 	}
 	// The owning replica saw n concurrent identical runs; coalesced +
 	// cache hits + the one execution must account for all of them.
-	st := f.g.Snapshot(context.Background(), true)
-	raw, ok := st.ReplicaStatsz[replicas[0]]
-	if !ok {
-		t.Fatalf("no replica statsz for %s", replicas[0])
+	after := f.replicaMisses(t)
+	for url := range after {
+		if got := after[url] - before[url]; url == replicas[0] && got != 1 {
+			t.Errorf("cache misses on the serving replica = %d, want exactly 1 compile", got)
+		} else if url != replicas[0] && got != 0 {
+			t.Errorf("cache misses on %s = %d, want 0", url, got)
+		}
 	}
-	var rs struct {
-		CoalescedRuns int64 `json:"coalesced_runs"`
-		Cache         struct {
-			Misses int64 `json:"misses"`
-		} `json:"cache"`
+}
+
+// replicaMisses reads every replica's artifact-cache miss count through
+// the gate's /statsz.
+func (f *testFleet) replicaMisses(t *testing.T) map[string]int64 {
+	t.Helper()
+	out := map[string]int64{}
+	for url, raw := range f.g.Snapshot(context.Background(), true).ReplicaStatsz {
+		var rs struct {
+			Cache struct {
+				Misses int64 `json:"misses"`
+			} `json:"cache"`
+		}
+		if err := json.Unmarshal(raw, &rs); err != nil {
+			t.Fatalf("replica statsz: %v", err)
+		}
+		out[url] = rs.Cache.Misses
 	}
-	if err := json.Unmarshal(raw, &rs); err != nil {
-		t.Fatalf("replica statsz: %v", err)
+	if len(out) != len(f.urls) {
+		t.Fatalf("statsz from %d of %d replicas", len(out), len(f.urls))
 	}
-	if rs.Cache.Misses != 1 {
-		t.Errorf("cache misses = %d, want exactly 1 compile", rs.Cache.Misses)
-	}
+	return out
 }
 
 func TestGateHealthz(t *testing.T) {

@@ -331,6 +331,7 @@ func TestGateMetricsAgreeWithStatsz(t *testing.T) {
 		"qgate_requests_total":      st.Requests,
 		"qgate_failovers_total":     st.Failovers,
 		"qgate_unrouted_total":      st.Unrouted,
+		"qgate_spills_total":        st.Spills,
 		"qgate_live_replicas":       int64(st.LiveReplicas),
 		"qgate_fleet_seconds_count": st.FleetLatency.Count,
 	}

@@ -51,7 +51,14 @@ func (o *Object) GraphIndex(name string) (int, error) {
 // Validate decodes every graph's instruction stream, checking that it
 // consists of well-formed instructions, that fork and branch operands are
 // in range, and that queue page sizes are legal.
-func (o *Object) Validate() error {
+func (o *Object) Validate() error { return o.Visit(nil) }
+
+// Visit makes Validate's checks in Validate's order and, while the object
+// passes them, calls visit (when non-nil) with each instruction as it is
+// decoded: graph index, program counter, the instruction and its length
+// in words. A loader that builds its own form of the streams in visit
+// decodes each word once and reports exactly Validate's errors.
+func (o *Object) Visit(visit func(gi, pc int, in Instr, n int)) error {
 	if len(o.Graphs) == 0 {
 		return fmt.Errorf("isa: object has no graphs")
 	}
@@ -76,9 +83,11 @@ func (o *Object) Validate() error {
 					}
 				}
 			}
+			if visit != nil {
+				visit(gi, pc, in, n)
+			}
 			pc += n
 		}
-		_ = gi
 	}
 	for addr := range o.DataInit {
 		if addr < 0 || addr >= o.DataWords {
@@ -86,6 +95,23 @@ func (o *Object) Validate() error {
 		}
 	}
 	return nil
+}
+
+// TrimCode moves every graph's code into one shared array, each stream a
+// slice of exactly its length. An object decoded from JSON carries the
+// decoder's growth slack in every stream; a program that stays resident
+// in a cache should hold only its words.
+func (o *Object) TrimCode() {
+	words := 0
+	for _, g := range o.Graphs {
+		words += len(g.Code)
+	}
+	all := make([]uint32, words)
+	for i := range o.Graphs {
+		n := copy(all, o.Graphs[i].Code)
+		o.Graphs[i].Code = all[:n:n]
+		all = all[n:]
+	}
 }
 
 // Kernel entry point codes, passed as src1 of a trap instruction

@@ -146,12 +146,11 @@ func classOf(op isa.Opcode, info isa.Info) instrClass {
 // of a word-immediate extension word is marked as holding no instruction.
 // The streams stay word-indexed so that program counters — RegPC reads,
 // computed jumps, recorder pcs and error texts — mean the same as in the
-// object. All of a program's slots share one allocation. A loaded program
-// is read-only: any number of simulations may share one.
+// object. All of a program's slots share one allocation. Validation and
+// slot building share one decode of each word (isa.Object.Visit), so an
+// object is rejected with exactly the error Validate gives it. A loaded
+// program is read-only: any number of simulations may share one.
 func LoadProgram(obj *isa.Object) (*Program, error) {
-	if err := obj.Validate(); err != nil {
-		return nil, err
-	}
 	words := 0
 	for _, g := range obj.Graphs {
 		words += len(g.Code)
@@ -159,23 +158,20 @@ func LoadProgram(obj *isa.Object) (*Program, error) {
 	slots := make([]decodedInstr, words)
 	p := &Program{Obj: obj, graphs: make([][]decodedInstr, len(obj.Graphs))}
 	for gi, g := range obj.Graphs {
-		code := slots[:len(g.Code):len(g.Code)]
+		p.graphs[gi] = slots[:len(g.Code):len(g.Code)]
 		slots = slots[len(g.Code):]
-		for pc := 0; pc < len(g.Code); {
-			in, n, err := isa.Decode(g.Code[pc:])
-			if err != nil {
-				return nil, fmt.Errorf("pe: graph %q pc %d: %w", g.Name, pc, err)
-			}
-			info, _ := isa.Lookup(in.Op)
-			code[pc] = decodedInstr{
-				imm1: in.Src1.Imm, imm2: in.Src2.Imm,
-				op: in.Op, class: classOf(in.Op, info), words: uint8(n), srcs: uint8(info.Srcs),
-				mode1: in.Src1.Mode, mode2: in.Src2.Mode, reg1: uint8(in.Src1.Reg), reg2: uint8(in.Src2.Reg),
-				dst1: uint8(in.Dst1), dst2: uint8(in.Dst2), qpInc: uint8(in.QPInc), cont: in.Cont,
-			}
-			pc += n
+	}
+	err := obj.Visit(func(gi, pc int, in isa.Instr, n int) {
+		info, _ := isa.Lookup(in.Op)
+		p.graphs[gi][pc] = decodedInstr{
+			imm1: in.Src1.Imm, imm2: in.Src2.Imm,
+			op: in.Op, class: classOf(in.Op, info), words: uint8(n), srcs: uint8(info.Srcs),
+			mode1: in.Src1.Mode, mode2: in.Src2.Mode, reg1: uint8(in.Src1.Reg), reg2: uint8(in.Src2.Reg),
+			dst1: uint8(in.Dst1), dst2: uint8(in.Dst2), qpInc: uint8(in.QPInc), cont: in.Cont,
 		}
-		p.graphs[gi] = code
+	})
+	if err != nil {
+		return nil, err
 	}
 	return p, nil
 }

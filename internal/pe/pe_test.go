@@ -518,3 +518,55 @@ func FuzzLoadProgram(f *testing.F) {
 		}
 	})
 }
+
+// TestLoadProgramErrorTexts: LoadProgram validates while it builds the
+// slots, and rejects each malformed object with exactly the text
+// Validate gives it.
+func TestLoadProgramErrorTexts(t *testing.T) {
+	good, err := asm.Assemble(`
+.graph main queue=32
+	plus++ r0,#100000 :r0,r2
+	bne r1,#-2
+	trap #0,#0
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	code := good.Graphs[0].Code
+	far, err := isa.Instr{Op: isa.OpBne, Src1: isa.Window(1), Src2: isa.Imm(15)}.Encode()
+	if err != nil || len(far) != 1 {
+		t.Fatalf("encode far branch: %v %v", far, err)
+	}
+	with := func(f func(o *isa.Object)) *isa.Object {
+		o := *good
+		o.Graphs = []isa.GraphCode{good.Graphs[0]}
+		o.Graphs[0].Code = slices.Clone(code)
+		f(&o)
+		return &o
+	}
+	cases := map[string]*isa.Object{
+		"no graphs":     with(func(o *isa.Object) { o.Graphs = nil }),
+		"entry":         with(func(o *isa.Object) { o.Entry = 1 }),
+		"queue page":    with(func(o *isa.Object) { o.Graphs[0].QueueWords = 48 }),
+		"opcode":        with(func(o *isa.Object) { o.Graphs[0].Code[2] = 0xffffffff }),
+		"truncated":     with(func(o *isa.Object) { o.Graphs[0].Code = o.Graphs[0].Code[:1] }),
+		"branch target": with(func(o *isa.Object) { o.Graphs[0].Code[2] = far[0] }),
+		"data init":     with(func(o *isa.Object) { o.DataInit = map[int]int32{5: 1} }),
+		"first of two":  with(func(o *isa.Object) { o.Graphs[0].QueueWords = 3; o.DataInit = map[int]int32{-1: 1} }),
+		"second graph": with(func(o *isa.Object) {
+			o.Graphs = append(o.Graphs, isa.GraphCode{Name: "g2", Code: []uint32{0xffffffff}, QueueWords: 32})
+		}),
+		"unknown trails": with(func(o *isa.Object) { o.Graphs[0].Code = append(o.Graphs[0].Code, 0xffffffff) }),
+	}
+	for name, obj := range cases {
+		verr := obj.Validate()
+		if verr == nil {
+			t.Errorf("%s: Validate accepts the object", name)
+			continue
+		}
+		_, err := LoadProgram(obj)
+		if err == nil || err.Error() != verr.Error() {
+			t.Errorf("%s: LoadProgram error %v, Validate error %q", name, err, verr)
+		}
+	}
+}

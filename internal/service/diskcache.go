@@ -93,6 +93,7 @@ func (d *diskCache) get(fp string) (*pe.Program, bool) {
 		d.drop(fp)
 		return nil, false
 	}
+	da.Object.TrimCode()
 	prog, err := pe.LoadProgram(da.Object)
 	if err != nil {
 		d.drop(fp)

@@ -13,6 +13,7 @@ import (
 	"queuemachine/internal/compile"
 	"queuemachine/internal/isa"
 	"queuemachine/internal/pe"
+	"queuemachine/internal/workloads"
 )
 
 // swappableServer is an httptest server whose handler can be installed
@@ -61,6 +62,17 @@ func TestDiskCacheRoundTrip(t *testing.T) {
 	if st.Writes != 1 || st.Hits != 1 || st.Errors != 0 || st.Entries != 1 {
 		t.Errorf("stats = %+v", st)
 	}
+	// A program with streams long enough that JSON decoding leaves slack.
+	art, err := compile.Compile(workloads.MatMul(3).Source, compile.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.put("matmul", art.Object)
+	big, ok := d.get("matmul")
+	if !ok {
+		t.Fatal("matmul not readable back")
+	}
+	exactCode(t, big.Obj)
 }
 
 func TestDiskCacheRejectsCorruptAndStale(t *testing.T) {
@@ -109,6 +121,17 @@ func TestDiskCacheRejectsCorruptAndStale(t *testing.T) {
 	}
 	if st := d.stats(); st.Errors != 3 {
 		t.Errorf("errors = %d, want 3", st.Errors)
+	}
+}
+
+// exactCode checks that every graph's code slice holds no spare capacity:
+// a program read back from JSON keeps only its words.
+func exactCode(t *testing.T, obj *isa.Object) {
+	t.Helper()
+	for _, g := range obj.Graphs {
+		if cap(g.Code) != len(g.Code) {
+			t.Errorf("graph %q: code cap %d, len %d", g.Name, cap(g.Code), len(g.Code))
+		}
 	}
 }
 
@@ -300,5 +323,50 @@ func TestPeerFetchThroughFleet(t *testing.T) {
 	status, _ = post(t, srvB.URL()+"/compile", map[string]any{"source": src}, &resp)
 	if status != http.StatusOK || resp.CacheState != cacheStateHit {
 		t.Errorf("repeat via B = %d/%q, want 200/hit", status, resp.CacheState)
+	}
+}
+
+// TestBadPeerObjectFallsBackToLocalCompile: the peer client no longer
+// validates what it fetches, so pe.LoadProgram is the only check; an
+// owner that answers an undecodable object must cost one peer error and a
+// local compile, never a failed request or a poisoned cache entry.
+func TestBadPeerObjectFallsBackToLocalCompile(t *testing.T) {
+	bad := undecodable(t, compileFor(t, 3).Obj)
+	owner := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		writeJSON(w, http.StatusOK, map[string]any{"fingerprint": "x", "object": bad})
+	}))
+	t.Cleanup(owner.Close)
+	self := newSwappableServer(t)
+	peers := []string{owner.URL, self.URL()}
+	svc, err := New(Config{Workers: 1, Self: self.URL(), Peers: peers})
+	if err != nil {
+		t.Fatal(err)
+	}
+	self.Set(svc.Handler())
+	var src string
+	var want int32
+	for ; src == ""; want++ {
+		if want > 200 {
+			t.Fatal("no source owned by the fake owner")
+		}
+		candidate := fmt.Sprintf("var v[1]:\nseq\n  v[0] := %d\n", want+1)
+		if svc.ring.Owner(compile.Fingerprint(candidate, compile.Options{})) == owner.URL {
+			src = candidate
+		}
+	}
+	var resp runResponse
+	status, raw := post(t, self.URL()+"/run", map[string]any{"source": src, "dump_data": true}, &resp)
+	if status != http.StatusOK {
+		t.Fatalf("run: status %d: %s", status, raw)
+	}
+	if resp.CacheState != cacheStateMiss {
+		t.Errorf("cache state = %q, want %q (a local compile)", resp.CacheState, cacheStateMiss)
+	}
+	if got := resp.Stats.Data; len(got) != 1 || got[0] != want {
+		t.Errorf("data = %v, want [%d]", got, want)
+	}
+	if svc.peerFetches.Load() != 1 || svc.peerErrors.Load() != 1 || svc.peerHits.Load() != 0 {
+		t.Errorf("peer fetches/errors/hits = %d/%d/%d, want 1/1/0",
+			svc.peerFetches.Load(), svc.peerErrors.Load(), svc.peerHits.Load())
 	}
 }

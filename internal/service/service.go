@@ -33,6 +33,7 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -148,6 +149,7 @@ type Service struct {
 	flights flightGroup // singleflight over identical compiles and runs
 	mux     *http.ServeMux
 	start   time.Time
+	workers string            // Config.Workers, sent in fleet.WorkersHeader
 	metrics *metrics.Registry // behind /metrics; see declareMetrics
 	tracer  *xtrace.Tracer
 	traces  *xtrace.Recorder
@@ -184,6 +186,7 @@ func New(cfg Config) (*Service, error) {
 		pool:    newPool(cfg.Workers, cfg.QueueDepth),
 		mux:     http.NewServeMux(),
 		start:   time.Now(),
+		workers: strconv.Itoa(cfg.Workers),
 		metrics: metrics.NewRegistry(),
 		traces: xtrace.NewRecorder(xtrace.RecorderConfig{
 			Capacity:      cfg.TraceCapacity,
@@ -245,6 +248,7 @@ func (s *Service) Handler() http.Handler {
 				writeJSON(w, http.StatusBadRequest, doc)
 			}
 		}()
+		w.Header().Set(fleet.WorkersHeader, s.workers)
 		if s.slo == nil {
 			s.mux.ServeHTTP(w, r)
 			return

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"queuemachine/internal/compile"
+	"queuemachine/internal/fleet"
 	"queuemachine/internal/sim"
 )
 
@@ -522,5 +523,31 @@ func TestRunHitsShareOneLoadedProgram(t *testing.T) {
 	}
 	if st := svc.cache.stats(); st.Misses != 1 || st.Entries != 1 {
 		t.Errorf("cache stats = %+v, want the warm-up's one miss and one entry", st)
+	}
+}
+
+// TestWorkersHeader: every response — answers, errors and probes alike —
+// advertises the replica's worker count, which qgate's load-aware routing
+// reads.
+func TestWorkersHeader(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 3})
+	for _, c := range []struct{ method, path, body string }{
+		{"GET", "/healthz", ""},
+		{"POST", "/run", `{"source": "var v[1]:\nseq\n  v[0] := 1\n"}`},
+		{"POST", "/compile", "not json"},
+		{"GET", "/nowhere", ""},
+	} {
+		req, err := http.NewRequest(c.method, ts.URL+c.path, strings.NewReader(c.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if got := resp.Header.Get(fleet.WorkersHeader); got != "3" {
+			t.Errorf("%s %s (status %d): %s = %q, want \"3\"", c.method, c.path, resp.StatusCode, fleet.WorkersHeader, got)
+		}
 	}
 }
