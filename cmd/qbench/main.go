@@ -13,13 +13,6 @@
 //	    gate a run: additionally compare against the committed baseline and
 //	    exit 1 when any benchmark drifted or disappeared
 //
-//	go test -bench BenchmarkHost -benchtime 5x | qbench -host -out BENCH_host.json
-//	    record host throughput: parse the wall-clock "simInstrs/s" metric the
-//	    BenchmarkHost* benchmarks report and write it as a trajectory
-//	    artifact with a block describing the host. Host time is machine-
-//	    and load-dependent, so -host is report-only and never gates:
-//	    -baseline is rejected with it.
-//
 //	qbench -profile -out profiles/
 //	    run representative Chapter 6 workloads under the cycle-attribution
 //	    profiler, write each run's attribution and critical path as JSON
@@ -51,7 +44,6 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
-	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -71,55 +63,6 @@ type Report struct {
 	Benchmarks map[string]int64 `json:"benchmarks"`
 }
 
-// HostReport is the JSON document -host writes: wall-clock simulator
-// throughput per benchmark. Unlike cycle counts these are real-valued and
-// machine-dependent, so they are recorded as a trajectory, never gated,
-// and carry the host they were measured on.
-type HostReport struct {
-	Metric     string             `json:"metric"`
-	Host       Host               `json:"host"`
-	Benchmarks map[string]float64 `json:"benchmarks"`
-}
-
-// Host describes the machine qbench runs on, which in the documented
-// pipeline is the one that ran the benchmarks: the fields perfbench
-// records with every result.
-type Host struct {
-	NProc      int    `json:"nproc"`
-	GOMAXPROCS int    `json:"gomaxprocs"`
-	Go         string `json:"go"`
-	GOOS       string `json:"goos"`
-	GOARCH     string `json:"goarch"`
-	CPU        string `json:"cpu"`
-}
-
-func thisHost() Host {
-	return Host{
-		NProc:      runtime.NumCPU(),
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		Go:         runtime.Version(),
-		GOOS:       runtime.GOOS,
-		GOARCH:     runtime.GOARCH,
-		CPU:        cpuModel(),
-	}
-}
-
-// cpuModel reads the CPU model name on Linux; elsewhere it is "unknown".
-func cpuModel() string {
-	f, err := os.Open("/proc/cpuinfo")
-	if err != nil {
-		return "unknown"
-	}
-	defer f.Close()
-	sc := bufio.NewScanner(f)
-	for sc.Scan() {
-		if k, v, ok := strings.Cut(sc.Text(), ":"); ok && strings.TrimSpace(k) == "model name" {
-			return strings.TrimSpace(v)
-		}
-	}
-	return "unknown"
-}
-
 // procSuffix matches the "-8" GOMAXPROCS suffix go test appends to benchmark
 // names when GOMAXPROCS > 1. Sub-benchmark names also end in digits
 // ("pes-4"), so parse only strips a suffix every benchmark line of the run
@@ -131,9 +74,7 @@ func main() {
 	var (
 		baselinePath = flag.String("baseline", "", "committed baseline JSON to gate against")
 		outPath      = flag.String("out", "", "write this run's cycle counts as JSON")
-		hostMode     = flag.Bool("host", false,
-			"record the simInstrs/s host-throughput metric (report-only, no gating)")
-		profileMode = flag.Bool("profile", false,
+		profileMode  = flag.Bool("profile", false,
 			"profile representative benchmarks and gate the attribution-sum invariant")
 		sweepMode = flag.Bool("sweep", false,
 			"run the scheduler design-space sweep and write the report JSON")
@@ -151,20 +92,17 @@ func main() {
 			"comma-separated ring partition counts for -sweep")
 	)
 	flag.Parse()
-	if *hostMode && *baselinePath != "" {
-		fatal(fmt.Errorf("-host throughput is machine-dependent and report-only; -baseline is not allowed"))
-	}
 	if *sweepMode || *sweepSmoke {
-		if *hostMode || *profileMode || *baselinePath != "" {
-			fatal(fmt.Errorf("-sweep runs its own simulations; -host, -profile and -baseline are not allowed"))
+		if *profileMode || *baselinePath != "" {
+			fatal(fmt.Errorf("-sweep runs its own simulations; -profile and -baseline are not allowed"))
 		}
 		runSweep(*outPath, *sweepSmoke, *sweepBenches, *sweepPolicies,
 			*sweepPEs, *sweepMCache, *sweepParts)
 		return
 	}
 	if *profileMode {
-		if *hostMode || *baselinePath != "" {
-			fatal(fmt.Errorf("-profile runs its own simulations; -host and -baseline are not allowed"))
+		if *baselinePath != "" {
+			fatal(fmt.Errorf("-profile runs its own simulations; -baseline is not allowed"))
 		}
 		runProfiles(*outPath)
 		return
@@ -183,31 +121,6 @@ func main() {
 	default:
 		fmt.Fprintln(os.Stderr, "usage: qbench [-baseline file] [-out file] [bench-output]")
 		os.Exit(2)
-	}
-
-	if *hostMode {
-		vals, err := parseMetric(in, "simInstrs/s")
-		if err != nil {
-			fatal(err)
-		}
-		if len(vals) == 0 {
-			fatal(fmt.Errorf("no simInstrs/s metrics found in bench output"))
-		}
-		rep := &HostReport{Metric: "simInstrs/s", Host: thisHost(), Benchmarks: vals}
-		if *outPath != "" {
-			blob, err := json.MarshalIndent(rep, "", "  ")
-			if err != nil {
-				fatal(err)
-			}
-			if err := os.WriteFile(*outPath, append(blob, '\n'), 0o644); err != nil {
-				fatal(err)
-			}
-		}
-		for _, name := range sortedFloatKeys(rep.Benchmarks) {
-			fmt.Printf("qbench: %s: %.0f simInstrs/s\n", name, rep.Benchmarks[name])
-		}
-		fmt.Printf("qbench: recorded host throughput for %d benchmarks\n", len(rep.Benchmarks))
-		return
 	}
 
 	current, err := parse(in)
@@ -351,15 +264,6 @@ func commonProcSuffix(names []string) string {
 		}
 	}
 	return suffix
-}
-
-func sortedFloatKeys(m map[string]float64) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }
 
 func sortedKeys(m map[string]int64) []string {

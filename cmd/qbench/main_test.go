@@ -52,9 +52,10 @@ BenchmarkHostFFT/pes-8-8 	       5	   9800000 ns/op	  3661933 simInstrs/s	 10 B/
 PASS
 `
 
-// TestParseMetricHost checks -host parsing: the real-valued simInstrs/s
-// metric is extracted per benchmark, other metrics on the same line are
-// ignored, and the GOMAXPROCS suffix is still normalized away.
+// TestParseMetricHost checks parseMetric on a real-valued metric, the
+// simInstrs/s the BenchmarkHost* benchmarks report: it is extracted per
+// benchmark, other metrics on the same line are ignored, and the
+// GOMAXPROCS suffix is still normalized away.
 func TestParseMetricHost(t *testing.T) {
 	vals, err := parseMetric(strings.NewReader(hostBench), "simInstrs/s")
 	if err != nil {
@@ -90,14 +91,5 @@ func TestCommonProcSuffix(t *testing.T) {
 		if got := commonProcSuffix(tc.names); got != tc.want {
 			t.Errorf("commonProcSuffix(%v) = %q, want %q", tc.names, got, tc.want)
 		}
-	}
-}
-
-// TestThisHost checks the host block -host writes into BENCH_host.json:
-// every field is filled in.
-func TestThisHost(t *testing.T) {
-	h := thisHost()
-	if h.NProc < 1 || h.GOMAXPROCS < 1 || h.Go == "" || h.GOOS == "" || h.GOARCH == "" || h.CPU == "" {
-		t.Errorf("incomplete host block %+v", h)
 	}
 }

@@ -12,7 +12,7 @@
 //	qmd -cache-dir /var/qmd      persist compiled artifacts across restarts
 //	qmd -self http://a:8344 -peers http://a:8344,http://b:8344
 //	                             join a replica fleet: artifact misses ask
-//	                             the ring owner before compiling locally
+//	                             the owner's memory, then compile locally
 //
 // Endpoints: POST /compile, POST /run, GET /healthz, GET /statsz,
 // GET /metrics (Prometheus text), GET /debugz/traces (the flight
@@ -54,7 +54,6 @@ func main() {
 		cacheDir  = flag.String("cache-dir", "", "persist compiled artifacts under this directory (empty: memory only)")
 		self      = flag.String("self", "", "this replica's base URL in the peer ring (required with -peers)")
 		peers     = flag.String("peers", "", "comma-separated base URLs of all replicas (including -self); empty: no peering")
-		peerTO    = flag.Duration("peer-timeout", 10*time.Second, "peer artifact fetch deadline")
 		slo       = flag.String("slo", "", "per-route latency objectives, e.g. run=2s,compile=500ms (empty: no SLO tracking)")
 		traceRing = flag.Int("trace-ring", 0, "flight recorder capacity in traces (0: default 256)")
 		traceSlow = flag.Duration("trace-slow", 0, "retain traces at least this slow as outliers (0: default 1s)")
@@ -103,7 +102,6 @@ func main() {
 		CacheDir:       *cacheDir,
 		Self:           *self,
 		Peers:          peerList,
-		PeerTimeout:    *peerTO,
 		Process:        process,
 		TraceCapacity:  *traceRing,
 		TraceSlow:      *traceSlow,

@@ -15,9 +15,8 @@ import (
 )
 
 // PeerHeader marks a request as originating from another replica rather
-// than a client. A replica never forwards a peer-marked request onward,
-// which bounds every request to at most one peer hop even when replicas
-// disagree about ring ownership during a health transition.
+// than a client. A replica answers a peer-marked /compile from its memory
+// and never forwards it, so a request takes at most one peer hop.
 const PeerHeader = "X-Qmd-Peer"
 
 // WorkersHeader carries a replica's worker count on every response it
@@ -62,11 +61,8 @@ type Client struct {
 }
 
 // NewClient builds a peer client whose requests are bounded by timeout
-// (<= 0 selects 10s, generous for a compile of any accepted program).
+// (<= 0: unbounded).
 func NewClient(timeout time.Duration) *Client {
-	if timeout <= 0 {
-		timeout = 10 * time.Second
-	}
 	return &Client{http: &http.Client{Timeout: timeout}}
 }
 
@@ -82,11 +78,11 @@ type peerCompileResponse struct {
 	Object      *isa.Object `json:"object"`
 }
 
-// FetchCompile asks the peer at base to compile source (serving from its
-// own caches when it can) and returns the object program, unvalidated,
-// with each graph's code trimmed to its length. The request
-// carries PeerHeader so the peer answers locally instead of forwarding
-// again.
+// FetchCompile asks the peer at base for the object program of source
+// and returns it, unvalidated, with each graph's code trimmed to its
+// length. The request carries PeerHeader, so the peer answers from its
+// memory alone: it never compiles, takes a worker or forwards for a
+// peer, and a program it does not hold comes back as a 404 error.
 func (c *Client) FetchCompile(ctx context.Context, base, source string, opts compile.Options) (*isa.Object, error) {
 	body, err := json.Marshal(peerCompileRequest{Source: source, Options: OptionsFromCompile(opts)})
 	if err != nil {
@@ -99,8 +95,8 @@ func (c *Client) FetchCompile(ctx context.Context, base, source string, opts com
 	req.Header.Set("Content-Type", "application/json")
 	req.Header.Set(PeerHeader, "1")
 	// A traced artifact miss stays traced across the hop: the owning
-	// peer's compile spans join the same trace, parented to the span
-	// active on ctx, so the stitched view shows the remote compile
+	// peer's lookup span joins the same trace, parented to the span
+	// active on ctx, so the stitched view shows the remote lookup
 	// inside the requesting replica's peer.fetch span.
 	xtrace.Inject(ctx, req.Header)
 	resp, err := c.http.Do(req)

@@ -186,7 +186,8 @@ func slowSource(seed int) string {
 // a fleet of two peered replicas behind a gate whose ring deliberately
 // disagrees with the replicas' peer ring (16 vs the default 64 virtual
 // nodes), so the gate routes some program to a replica that is not its
-// peer-ring owner and that replica must peer-fetch the artifact.
+// peer-ring owner and that replica must peer-fetch the artifact from the
+// owner's memory.
 // Concurrent identical traced requests then coalesce on the serving
 // replica. The leader's trace, stitched at the gate, must be a single
 // trace spanning gate, serving replica, and peer — covering at least 95%
@@ -264,6 +265,12 @@ func TestStitchedTraceEndToEnd(t *testing.T) {
 	const n = 4
 	for round := 0; round < rounds; round++ {
 		src, _, peerOwner := nextSplitSource()
+		// A peer answers a fetch from memory only, so warm the peer-ring
+		// owner first: the serving replica's fetch then returns the object.
+		warmup, _ := json.Marshal(map[string]any{"source": src})
+		if resp, raw, _ := tracedPost(t, peerOwner+"/compile", xtrace.NewTraceID(), warmup); resp.StatusCode != http.StatusOK {
+			t.Fatalf("warming %s: status %d: %s", peerOwner, resp.StatusCode, raw)
+		}
 		body, _ := json.Marshal(map[string]any{"source": src, "pes": 2})
 
 		results := make([]outcome, n)

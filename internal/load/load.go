@@ -115,8 +115,8 @@ type Options struct {
 	Timeout time.Duration
 	// Corpus names the program set (default "chapter6").
 	Corpus string
-	// TraceSample sends a fresh X-Qmd-Trace id on every Nth fired request
-	// (0 disables). The serving tier records those requests in its flight
+	// TraceSample sends a fresh X-Qmd-Trace id on every Nth sent request,
+	// starting with the first (0 disables, 1 traces every request). The serving tier records those requests in its flight
 	// recorders, and the report lists every sampled id with its observed
 	// latency so the slowest traces can be pulled from /debugz/traces
 	// after the run.
@@ -323,7 +323,7 @@ func Run(ctx context.Context, target string, opts Options) (*Report, error) {
 		sent++
 		body := bodies[zipf.Uint64()]
 		var trace xtrace.TraceID
-		if opts.TraceSample > 0 && sent%int64(opts.TraceSample) == 1 {
+		if sampled(sent, opts.TraceSample) {
 			trace = xtrace.NewTraceID()
 		}
 		wg.Add(1)
@@ -388,6 +388,12 @@ func Run(ctx context.Context, target string, opts Options) (*Report, error) {
 		}
 	}
 	return rep, nil
+}
+
+// sampled reports whether the n-th sent request (from 1) carries a trace
+// id when every N-th is sampled: the 1st, the N+1-th, the 2N+1-th, ...
+func sampled(n int64, every int) bool {
+	return every > 0 && (n-1)%int64(every) == 0
 }
 
 // fire sends one request and records its outcome. Transport errors and

@@ -4,6 +4,7 @@ import (
 	"context"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -11,6 +12,7 @@ import (
 
 	"queuemachine/internal/metrics"
 	"queuemachine/internal/service"
+	"queuemachine/internal/xtrace"
 )
 
 func TestCorpus(t *testing.T) {
@@ -82,6 +84,48 @@ func TestRunAgainstFake(t *testing.T) {
 	rep.WriteText(&b)
 	if !strings.Contains(b.String(), "p99") {
 		t.Errorf("text report missing latency line:\n%s", b.String())
+	}
+}
+
+// TestTraceSample: sampling every N-th request traces the 1st, N+1-th,
+// 2N+1-th, ... request, so N=1 traces every request.
+func TestTraceSample(t *testing.T) {
+	for _, tc := range []struct {
+		every int
+		want  []int64
+	}{
+		{0, nil},
+		{1, []int64{1, 2, 3, 4, 5, 6, 7, 8}},
+		{3, []int64{1, 4, 7}},
+	} {
+		var got []int64
+		for n := int64(1); n <= 8; n++ {
+			if sampled(n, tc.every) {
+				got = append(got, n)
+			}
+		}
+		if !slices.Equal(got, tc.want) {
+			t.Errorf("every %d: traced %v, want %v", tc.every, got, tc.want)
+		}
+	}
+
+	var traced atomic.Int64
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Header.Get(xtrace.TraceHeader) != "" {
+			traced.Add(1)
+		}
+		w.Write([]byte(`{}`))
+	}))
+	defer ts.Close()
+	rep, err := Run(context.Background(), ts.URL, Options{
+		Rate: 100, Duration: 200 * time.Millisecond, PEs: 1, TraceSample: 1,
+	})
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if rep.Sent == 0 || traced.Load() != rep.Sent || int64(len(rep.SampledTraces)) != rep.Sent {
+		t.Errorf("-trace-sample 1: sent %d, server saw %d traced, report lists %d",
+			rep.Sent, traced.Load(), len(rep.SampledTraces))
 	}
 }
 

@@ -104,11 +104,11 @@ func TestArtifactForDeterminism(t *testing.T) {
 	}
 	const src = "var v[1]:\nseq\n  v[0] := 42\n"
 	fp := compile.Fingerprint(src, compile.Options{})
-	_, state1, err := s.programFor(context.Background(), src, compile.Options{}, fp, true)
+	_, state1, err := s.programFor(context.Background(), src, compile.Options{}, fp)
 	if err != nil {
 		t.Fatalf("programFor: %v", err)
 	}
-	prog2, state2, err := s.programFor(context.Background(), src, compile.Options{}, fp, true)
+	prog2, state2, err := s.programFor(context.Background(), src, compile.Options{}, fp)
 	if err != nil {
 		t.Fatalf("programFor: %v", err)
 	}

@@ -265,9 +265,10 @@ func TestRestartWarmsFromDisk(t *testing.T) {
 }
 
 // TestPeerFetchThroughFleet wires two real service instances into a
-// two-replica fleet and drives a compile to the non-owner: it must fetch
-// the artifact from the owner (cache state "peer") rather than compile,
-// and the owner must answer without re-forwarding.
+// two-replica fleet. A program the owner holds in memory reaches the
+// non-owner as a peer fetch (cache state "peer"); a cold one costs the
+// non-owner one declined lookup and a local compile, and the owner
+// compiles nothing for it.
 func TestPeerFetchThroughFleet(t *testing.T) {
 	// Build both replicas first with placeholder peer lists is not
 	// possible — the ring is fixed at construction — so allocate the
@@ -287,24 +288,18 @@ func TestPeerFetchThroughFleet(t *testing.T) {
 	srvA.Set(svcA.Handler())
 	srvB.Set(svcB.Handler())
 
-	// Find a source owned by A on the ring (both replicas agree: same
+	// Two sources owned by A on the ring (both replicas agree: same
 	// member list, same hash).
-	var src string
-	for i := 0; ; i++ {
-		if i > 200 {
-			t.Fatal("no source owned by replica A")
-		}
-		candidate := fmt.Sprintf("var v[1]:\nseq\n  v[0] := %d\n", i)
-		fp := compile.Fingerprint(candidate, compile.Options{})
-		if svcA.ring.Owner(fp) == srvA.URL() {
-			src = candidate
-			break
-		}
-	}
+	warm := peerOwnedSource(t, svcA.ring, srvA.URL(), 0)
+	cold := peerOwnedSource(t, svcA.ring, srvA.URL(), 1)
 
-	// Compile on B: B is not the owner, so it fetches from A.
+	// Warm the owner, then compile on B: B is not the owner, so it
+	// fetches from A's memory.
 	var resp compileResponse
-	status, raw := post(t, srvB.URL()+"/compile", map[string]any{"source": src}, &resp)
+	if status, raw := post(t, srvA.URL()+"/compile", map[string]any{"source": warm}, &resp); status != http.StatusOK {
+		t.Fatalf("warm compile on A: status %d: %s", status, raw)
+	}
+	status, raw := post(t, srvB.URL()+"/compile", map[string]any{"source": warm}, &resp)
 	if status != http.StatusOK {
 		t.Fatalf("compile via B: status %d: %s", status, raw)
 	}
@@ -314,15 +309,25 @@ func TestPeerFetchThroughFleet(t *testing.T) {
 	if svcB.peerHits.Load() != 1 {
 		t.Errorf("B peer hits = %d, want 1", svcB.peerHits.Load())
 	}
-	// A compiled it locally (the peer-marked request is never
-	// re-forwarded) and now owns it in memory.
-	if svcA.cache.stats().Misses != 1 {
-		t.Errorf("A cache misses = %d, want 1", svcA.cache.stats().Misses)
-	}
 	// B's copy is cached in memory now: repeating on B is a local hit.
-	status, _ = post(t, srvB.URL()+"/compile", map[string]any{"source": src}, &resp)
+	status, _ = post(t, srvB.URL()+"/compile", map[string]any{"source": warm}, &resp)
 	if status != http.StatusOK || resp.CacheState != cacheStateHit {
 		t.Errorf("repeat via B = %d/%q, want 200/hit", status, resp.CacheState)
+	}
+
+	// A cold program: A declines the lookup and B compiles it itself.
+	status, raw = post(t, srvB.URL()+"/compile", map[string]any{"source": cold}, &resp)
+	if status != http.StatusOK || resp.CacheState != cacheStateMiss {
+		t.Fatalf("cold compile via B = %d/%q: %s, want 200/miss", status, resp.CacheState, raw)
+	}
+	if svcB.peerFetches.Load() != 2 || svcB.peerErrors.Load() != 1 {
+		t.Errorf("B peer fetches/errors = %d/%d, want 2/1", svcB.peerFetches.Load(), svcB.peerErrors.Load())
+	}
+	if st := svcA.cache.stats(); st.Misses != 1 || st.Entries != 1 {
+		t.Errorf("A cache misses/entries = %d/%d, want 1/1 (only its own warm compile)", st.Misses, st.Entries)
+	}
+	if n := svcA.fails.Load(); n != 0 {
+		t.Errorf("A qmd_errors_total = %d, want 0", n)
 	}
 }
 

@@ -207,13 +207,12 @@ const (
 
 // materialize produces the program for a fingerprint that already
 // missed the in-memory cache, in cost order: the disk tier, then the
-// owning peer (when a fleet is configured, this replica is not the
-// owner, and the request did not itself arrive from a peer), then a
-// local compile. Whatever produced the object, it is loaded
-// (pe.LoadProgram) once and lands in the memory cache as a run-ready
-// program; local compiles are also persisted to disk. Compile failures are the client's fault, not
-// the server's: 422.
-func (s *Service) materialize(ctx context.Context, src string, opts compile.Options, fp string, allowPeer bool) (*pe.Program, string, error) {
+// owning peer's memory (when a fleet is configured and this replica is
+// not the owner), then a local compile. Whatever produced the object, it
+// is loaded (pe.LoadProgram) once and lands in the memory cache as a
+// run-ready program; local compiles are also persisted to disk. Compile
+// failures are the client's fault, not the server's: 422.
+func (s *Service) materialize(ctx context.Context, src string, opts compile.Options, fp string) (*pe.Program, string, error) {
 	if s.disk != nil {
 		_, ds := xtrace.StartSpan(ctx, "disk.read")
 		prog, ok := s.disk.get(fp)
@@ -223,7 +222,7 @@ func (s *Service) materialize(ctx context.Context, src string, opts compile.Opti
 			return prog, cacheStateDisk, nil
 		}
 	}
-	if s.ring != nil && allowPeer {
+	if s.ring != nil {
 		if owner := s.ring.Owner(fp); owner != "" && owner != s.self {
 			s.peerFetches.Inc()
 			// The fetch runs under its own span's context so the peer's
@@ -274,13 +273,13 @@ func (s *Service) materialize(ctx context.Context, src string, opts compile.Opti
 // in-memory lookup counts a hit or a miss exactly once per request that
 // reaches it; coalesced followers never get here, which is what keeps
 // them out of the cache accounting.
-func (s *Service) programFor(ctx context.Context, src string, opts compile.Options, fp string, allowPeer bool) (*pe.Program, string, error) {
+func (s *Service) programFor(ctx context.Context, src string, opts compile.Options, fp string) (*pe.Program, string, error) {
 	ctx, span := xtrace.StartSpan(ctx, "artifact")
 	prog, state, err := func() (*pe.Program, string, error) {
 		if prog, ok := s.cache.get(fp); ok {
 			return prog, cacheStateHit, nil
 		}
-		return s.materialize(ctx, src, opts, fp, allowPeer)
+		return s.materialize(ctx, src, opts, fp)
 	}()
 	span.SetAttr("cache", state)
 	if err != nil {
@@ -289,13 +288,6 @@ func (s *Service) programFor(ctx context.Context, src string, opts compile.Optio
 		span.End()
 	}
 	return prog, state, err
-}
-
-// allowPeer reports whether this request may be forwarded to a peer
-// replica: requests that already arrived from a peer are answered
-// locally, bounding every compile to one hop.
-func allowPeer(r *http.Request) bool {
-	return r.Header.Get(fleet.PeerHeader) == ""
 }
 
 func (s *Service) handleCompile(w http.ResponseWriter, r *http.Request) {
@@ -331,13 +323,20 @@ func (s *Service) handleCompile(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, resp)
 		return
 	}
-	peerOK := allowPeer(r)
+	// A peer gets only what this replica holds in memory: a lookup never
+	// compiles, takes a worker or forwards, so it cannot wait on the
+	// asker's worker. A declined lookup is not a server failure.
+	if r.Header.Get(fleet.PeerHeader) != "" {
+		root.SetAttr("cache", cacheStateMiss)
+		writeJSON(w, http.StatusNotFound, map[string]string{"error": "program not in memory"})
+		return
+	}
 	ctx, cancel := context.WithTimeout(rctx, s.deadline(req.TimeoutMS))
 	defer cancel()
 	flightStart := time.Now()
 	v, err, shared, leader := s.flights.do(ctx, "compile\x00"+fp, func(ctx context.Context) (any, error) {
 		return s.execute(ctx, func(ctx context.Context) (any, error) {
-			prog, state, err := s.programFor(ctx, req.Source, opts, fp, peerOK)
+			prog, state, err := s.programFor(ctx, req.Source, opts, fp)
 			if err != nil {
 				return nil, err
 			}
@@ -471,7 +470,6 @@ func (s *Service) handleRun(w http.ResponseWriter, r *http.Request) {
 		sum := sha256.Sum256(blob)
 		key.ObjectHash = hex.EncodeToString(sum[:])
 	}
-	peerOK := allowPeer(r)
 
 	ctx, cancel := context.WithTimeout(rctx, s.deadline(req.TimeoutMS))
 	defer cancel()
@@ -481,7 +479,7 @@ func (s *Service) handleRun(w http.ResponseWriter, r *http.Request) {
 			resp := &runResponse{}
 			var prog *pe.Program
 			if req.Source != "" {
-				p, state, err := s.programFor(ctx, req.Source, opts, key.Fingerprint, peerOK)
+				p, state, err := s.programFor(ctx, req.Source, opts, key.Fingerprint)
 				if err != nil {
 					return nil, err
 				}

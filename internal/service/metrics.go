@@ -65,7 +65,7 @@ func (s *Service) declareMetrics(reg *metrics.Registry) {
 	if s.ring != nil {
 		s.peerFetches = reg.Counter("qmd_peer_fetches_total", "Artifact fetches attempted against the owning peer.")
 		s.peerHits = reg.Counter("qmd_peer_hits_total", "Peer fetches that returned a usable artifact.")
-		s.peerErrors = reg.Counter("qmd_peer_errors_total", "Peer fetches that failed and degraded to a local compile.")
+		s.peerErrors = reg.Counter("qmd_peer_errors_total", "Peer fetches declined (the owner does not hold the program in memory) or failed; each degrades to a local compile.")
 	}
 	s.slo.Register(reg, "qmd")
 	s.traces.Register(reg, "qmd")

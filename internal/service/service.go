@@ -80,14 +80,11 @@ type Config struct {
 	// full replica set (Self included) sharing a consistent-hash ring
 	// keyed by fingerprint, and Self is this replica's own base URL. A
 	// replica that misses its memory and disk caches asks the owning peer
-	// to compile before compiling itself, groupcache-style, so one
-	// artifact is compiled once per fleet, not once per replica. Empty
-	// Peers disables peering.
+	// for the program before compiling it itself; the owner answers from
+	// memory only and never compiles for a peer. Empty Peers disables
+	// peering.
 	Self  string
 	Peers []string
-	// PeerTimeout bounds each peer artifact fetch (default: 10s). A slow
-	// or dead peer degrades to a local compile, never to a failed request.
-	PeerTimeout time.Duration
 	// Process names this replica in distributed traces — the process lane
 	// a span renders under in a stitched view (default: "qmd"; cmd/qmd
 	// sets it to the replica's own base URL when one is configured).
@@ -136,6 +133,11 @@ func (c Config) withDefaults() Config {
 	}
 	return c
 }
+
+// peerFetchTimeout bounds one peer fetch, and so how long a dead peer can
+// hold a run's worker. The owner answers from memory, never after a
+// compile or a worker, so a second covers a round trip and an encode.
+const peerFetchTimeout = time.Second
 
 // Service is one compile-and-simulate server instance.
 type Service struct {
@@ -211,7 +213,7 @@ func New(cfg Config) (*Service, error) {
 			return nil, fmt.Errorf("service: Self %q is not in the peer list", cfg.Self)
 		}
 		s.self = cfg.Self
-		s.peers = fleet.NewClient(cfg.PeerTimeout)
+		s.peers = fleet.NewClient(peerFetchTimeout)
 	}
 	s.declareMetrics(s.metrics)
 	s.mux.HandleFunc("POST /compile", s.handleCompile)

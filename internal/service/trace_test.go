@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -196,15 +197,54 @@ func TestFollowerJoinsAlreadyFinishedFlight(t *testing.T) {
 	}
 }
 
-// TestPeerFetchOneHopBound: a compile that already arrived from a peer
-// is answered locally even when the ring says another replica owns the
-// fingerprint — forwarding it again could bounce between replicas
-// forever. Without the peer marker the same request does consult the
+// peerPost sends body to url as a peer-marked request, the way
+// fleet.Client.FetchCompile does.
+func peerPost(t *testing.T, url string, body any) (int, []byte) {
+	t.Helper()
+	blob, _ := json.Marshal(body)
+	req, err := http.NewRequest(http.MethodPost, url, bytes.NewReader(blob))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Content-Type", "application/json")
+	req.Header.Set(fleet.PeerHeader, "1")
+	resp, err := (&http.Client{Timeout: 5 * time.Second}).Do(req)
+	if err != nil {
+		t.Fatalf("peer POST %s: %v", url, err)
+	}
+	defer resp.Body.Close()
+	var buf bytes.Buffer
+	buf.ReadFrom(resp.Body)
+	return resp.StatusCode, buf.Bytes()
+}
+
+// peerOwnedSource returns the n-th small program the ring assigns to
 // owner.
+func peerOwnedSource(t *testing.T, ring *fleet.Ring, owner string, n int) string {
+	t.Helper()
+	for i := 0; i < 1000; i++ {
+		candidate := fmt.Sprintf("var v[1]:\nseq\n  v[0] := %d\n", i)
+		if ring.Owner(compile.Fingerprint(candidate, compile.Options{})) != owner {
+			continue
+		}
+		if n == 0 {
+			return candidate
+		}
+		n--
+	}
+	t.Fatalf("no program owned by %s", owner)
+	return ""
+}
+
+// TestPeerFetchOneHopBound: a compile that arrived from a peer is never
+// forwarded, even when the ring says another replica owns the
+// fingerprint — forwarding it again could bounce between replicas
+// forever. A peer-marked miss answers 404; without the peer marker the
+// same request does consult the owner.
 func TestPeerFetchOneHopBound(t *testing.T) {
-	var peerHits int
+	var peerHits atomic.Int64
 	peer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		peerHits++
+		peerHits.Add(1)
 		// Refusing is fine: the fetch attempt is what is under test, and
 		// a failed peer degrades to a local compile.
 		http.Error(w, "down", http.StatusInternalServerError)
@@ -213,66 +253,91 @@ func TestPeerFetchOneHopBound(t *testing.T) {
 
 	self := "http://self.invalid"
 	peers := []string{self, peer.URL}
-	svc, err := New(Config{Workers: 2, Self: self, Peers: peers, PeerTimeout: time.Second})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	ts := httptest.NewServer(svc.Handler())
-	defer ts.Close()
+	svc, ts := newTestServer(t, Config{Workers: 2, Self: self, Peers: peers})
+	src := peerOwnedSource(t, svc.ring, peer.URL, 0)
 
-	// Find a source the ring assigns to the other replica.
-	ring := fleet.NewRing(peers, 0)
-	var src string
-	for i := 0; ; i++ {
-		if i > 200 {
-			t.Fatal("no source owned by the peer replica")
-		}
-		candidate := fmt.Sprintf("var v[1]:\nseq\n  v[0] := %d\n", i)
-		if ring.Owner(compile.Fingerprint(candidate, compile.Options{})) == peer.URL {
-			src = candidate
-			break
-		}
+	if status, raw := peerPost(t, ts.URL+"/compile", map[string]any{"source": src}); status != http.StatusNotFound {
+		t.Fatalf("peer-marked miss: status %d: %s, want 404", status, raw)
 	}
-
-	// Arriving from a peer: answered locally, no fetch.
-	blob, _ := json.Marshal(map[string]any{"source": src})
-	req, _ := http.NewRequest(http.MethodPost, ts.URL+"/compile", bytes.NewReader(blob))
-	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set(fleet.PeerHeader, "1")
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("peer-marked compile: status %d", resp.StatusCode)
-	}
-	if peerHits != 0 || svc.peerFetches.Load() != 0 {
-		t.Fatalf("peer-marked request forwarded anyway (hits=%d, fetches=%d)",
-			peerHits, svc.peerFetches.Load())
+	if peerHits.Load() != 0 || svc.peerFetches.Load() != 0 {
+		t.Fatalf("peer-marked request forwarded (hits=%d, fetches=%d)",
+			peerHits.Load(), svc.peerFetches.Load())
 	}
 
 	// The same program arriving from a client: the owner is consulted.
-	// A different source keeps the first compile's cache entry out of the way.
-	var src2 string
-	for i := 1000; ; i++ {
-		if i > 1200 {
-			t.Fatal("no second source owned by the peer replica")
-		}
-		candidate := fmt.Sprintf("var v[1]:\nseq\n  v[0] := %d\n", i)
-		if ring.Owner(compile.Fingerprint(candidate, compile.Options{})) == peer.URL {
-			src2 = candidate
-			break
-		}
-	}
-	status, raw := post(t, ts.URL+"/compile", map[string]any{"source": src2}, nil)
+	status, raw := post(t, ts.URL+"/compile", map[string]any{"source": src}, nil)
 	if status != http.StatusOK {
 		t.Fatalf("client compile: status %d: %s", status, raw)
 	}
-	if svc.peerFetches.Load() != 1 {
-		t.Errorf("peerFetches = %d, want 1", svc.peerFetches.Load())
+	if svc.peerFetches.Load() != 1 || peerHits.Load() != 1 {
+		t.Errorf("peer fetches = %d, owner hits = %d; want 1, 1", svc.peerFetches.Load(), peerHits.Load())
 	}
-	if peerHits == 0 {
-		t.Error("owner replica never consulted for a client request")
+}
+
+// TestPeerLookupAnswersFromMemory: with the only worker held, a
+// peer-marked /compile still answers at once. A program in memory comes
+// back as a hit; one that is not answers 404 without a compile, a flight,
+// a worker, a forward or a counted server error.
+func TestPeerLookupAnswersFromMemory(t *testing.T) {
+	var peerHits atomic.Int64
+	peer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		peerHits.Add(1)
+		http.Error(w, "down", http.StatusInternalServerError)
+	}))
+	defer peer.Close()
+	self := "http://self.invalid"
+	svc, ts := newTestServer(t, Config{Workers: 1, Self: self, Peers: []string{self, peer.URL}})
+	warm := peerOwnedSource(t, svc.ring, self, 0)
+	var want compileResponse
+	if status, raw := post(t, ts.URL+"/compile", map[string]any{"source": warm}, &want); status != http.StatusOK {
+		t.Fatalf("warm compile: status %d: %s", status, raw)
+	}
+
+	block := make(chan struct{})
+	started := make(chan struct{})
+	if err := svc.pool.submit(func() { close(started); <-block }); err != nil {
+		t.Fatal(err)
+	}
+	defer close(block)
+	<-started
+	before := svc.cache.stats()
+
+	var hit compileResponse
+	status, raw := peerPost(t, ts.URL+"/compile", map[string]any{"source": warm})
+	if status != http.StatusOK {
+		t.Fatalf("peer lookup of a held program: status %d: %s", status, raw)
+	}
+	if err := json.Unmarshal(raw, &hit); err != nil {
+		t.Fatal(err)
+	}
+	wantObj, _ := json.Marshal(want.Object)
+	gotObj, _ := json.Marshal(hit.Object)
+	if hit.CacheState != cacheStateHit || string(gotObj) != string(wantObj) {
+		t.Errorf("peer hit: cache %q, same object %v; want %q, true",
+			hit.CacheState, string(gotObj) == string(wantObj), cacheStateHit)
+	}
+
+	for _, cold := range []string{peerOwnedSource(t, svc.ring, self, 1), peerOwnedSource(t, svc.ring, peer.URL, 0)} {
+		status, raw := peerPost(t, ts.URL+"/compile", map[string]any{"source": cold})
+		var doc map[string]string
+		if status != http.StatusNotFound || json.Unmarshal(raw, &doc) != nil || doc["error"] == "" {
+			t.Errorf("peer lookup of a cold program: status %d: %s, want a structured 404", status, raw)
+		}
+	}
+	after := svc.cache.stats()
+	svc.flights.mu.Lock()
+	flights := len(svc.flights.flights)
+	svc.flights.mu.Unlock()
+	if after.Misses != before.Misses || after.Entries != before.Entries || after.Hits != before.Hits+1 {
+		t.Errorf("cache %+v after lookups, want %+v with one more hit and nothing compiled", after, before)
+	}
+	if flights != 0 || svc.pool.queued() != 0 {
+		t.Errorf("lookups left %d flights and %d queued jobs, want none", flights, svc.pool.queued())
+	}
+	if peerHits.Load() != 0 || svc.peerFetches.Load() != 0 {
+		t.Errorf("a lookup was forwarded (owner hits=%d, fetches=%d)", peerHits.Load(), svc.peerFetches.Load())
+	}
+	if n := svc.fails.Load(); n != 0 {
+		t.Errorf("qmd_errors_total = %d after declined lookups, want 0", n)
 	}
 }
