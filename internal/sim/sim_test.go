@@ -276,6 +276,13 @@ var runErrorCases = []struct {
 	send #99,#1
 	trap #0,#0
 `},
+	// A store past the end of the static data segment.
+	{name: "store-past-data", pes: 1, msg: "beyond data segment of", src: `
+.data 1
+.graph main queue=32
+	store #8,#1
+	trap #0,#0
+`},
 }
 
 // TestRunErrors: malformed programs and machine sizes are rejected, an
