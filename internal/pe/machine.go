@@ -7,18 +7,6 @@ import (
 	"queuemachine/internal/trace"
 )
 
-// MemoryBus provides data-memory access to the processing element. The
-// implementation decides locality: the multiprocessor interleaves the data
-// segment across processing-element memories and charges ring latency for
-// remote words. The returned cycles are *additional* cost beyond the
-// processing element's base memory cycle count.
-type MemoryBus interface {
-	FetchWord(peID int, byteAddr int32) (int32, int, error)
-	StoreWord(peID int, byteAddr, val int32) (int, error)
-	FetchByte(peID int, byteAddr int32) (int32, int, error)
-	StoreByte(peID int, byteAddr, val int32) (int, error)
-}
-
 // ActionKind discriminates the operations a processing element cannot
 // complete by itself and hands to the surrounding system (message processor
 // or kernel). The kind and its payload live inline in the Outcome rather
@@ -184,13 +172,13 @@ type Machine struct {
 	PEID   int
 	Params Params
 	Prog   *Program
-	Mem    MemoryBus
+	Mem    *Memory
 	Stats  Stats
 	rec    trace.Recorder
 }
 
-// NewMachine builds a processing element bound to a program and memory bus.
-func NewMachine(peID int, params Params, prog *Program, mem MemoryBus) *Machine {
+// NewMachine builds a processing element bound to a program and data memory.
+func NewMachine(peID int, params Params, prog *Program, mem *Memory) *Machine {
 	return &Machine{PEID: peID, Params: params, Prog: prog, Mem: mem}
 }
 
@@ -449,7 +437,7 @@ func (m *Machine) execDup(c *Context, d *decodedInstr) (int, error) {
 }
 
 // execMem performs a data-memory instruction's access and result write,
-// returning the bus's extra cycles.
+// returning the memory's extra cycles.
 func (m *Machine) execMem(c *Context, d *decodedInstr, v1, v2 int32) (int, error) {
 	var (
 		word  int32
@@ -458,13 +446,13 @@ func (m *Machine) execMem(c *Context, d *decodedInstr, v1, v2 int32) (int, error
 	)
 	switch d.op {
 	case isa.OpFetch:
-		word, extra, err = m.Mem.FetchWord(m.PEID, v1)
+		word, err = m.Mem.FetchWord(v1)
 	case isa.OpFchb:
-		word, extra, err = m.Mem.FetchByte(m.PEID, v1)
+		word, err = m.Mem.FetchByte(v1)
 	case isa.OpStore:
-		extra, err = m.Mem.StoreWord(m.PEID, v1, v2)
+		extra, err = m.Mem.StoreWord(v1, v2)
 	case isa.OpStorb:
-		extra, err = m.Mem.StoreByte(m.PEID, v1, v2)
+		extra, err = m.Mem.StoreByte(v1, v2)
 	}
 	if err != nil {
 		return 0, fmt.Errorf("pe: context %d: %w", c.ID, err)

@@ -39,7 +39,7 @@ func runToExit(t *testing.T, m *Machine, c *Context, maxInstr int) int {
 	return cycles
 }
 
-func load(t *testing.T, src string) (*Machine, *Context, *LocalMemory) {
+func load(t *testing.T, src string) (*Machine, *Context, *Memory) {
 	t.Helper()
 	obj, err := asm.Assemble(src)
 	if err != nil {
@@ -49,8 +49,7 @@ func load(t *testing.T, src string) (*Machine, *Context, *LocalMemory) {
 	if err != nil {
 		t.Fatalf("LoadProgram: %v", err)
 	}
-	mem := NewLocalMemory(obj.DataWords + 64)
-	mem.LoadData(obj)
+	mem := NewMemory(obj.DataWords+64, obj.DataInit, 0)
 	m := NewMachine(0, DefaultParams(), prog, mem)
 	c := NewContext(0, obj.Entry, prog.QueueWords(obj.Entry))
 	return m, c, mem
@@ -108,8 +107,7 @@ func TestWindowRegisterSemantics(t *testing.T) {
 `)
 	m.Prog.Obj.DataWords = 1
 	runToExit(t, m, c, 100)
-	mem := m.Mem.(*LocalMemory)
-	if got := mem.Words()[0]; got != 18 {
+	if got := m.Mem.Words()[0]; got != 18 {
 		t.Errorf("result = %d, want 18", got)
 	}
 }
@@ -337,17 +335,17 @@ func TestErrors(t *testing.T) {
 }
 
 func TestMemoryBounds(t *testing.T) {
-	mem := NewLocalMemory(2)
-	if _, _, err := mem.FetchWord(0, 8); err == nil {
+	mem := NewMemory(2, nil, 0)
+	if _, err := mem.FetchWord(8); err == nil {
 		t.Error("out of bounds fetch accepted")
 	}
-	if _, err := mem.StoreWord(0, 5, 1); err == nil {
+	if _, err := mem.StoreWord(5, 1); err == nil {
 		t.Error("unaligned store accepted")
 	}
-	if _, _, err := mem.FetchByte(0, 100); err == nil {
+	if _, err := mem.FetchByte(100); err == nil {
 		t.Error("out of bounds byte accepted")
 	}
-	if _, err := mem.StoreByte(0, -1, 1); err == nil {
+	if _, err := mem.StoreByte(-1, 1); err == nil {
 		t.Error("negative byte address accepted")
 	}
 }

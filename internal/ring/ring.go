@@ -152,19 +152,6 @@ func (r *Ring) Transfer(now int64, from, to int) int64 {
 	return t
 }
 
-// FixedLatency reports the contention-free transfer latency between two
-// processing elements — used for the closed-form remote-memory cost model.
-func (r *Ring) FixedLatency(from, to int) int64 {
-	if from == to {
-		return 0
-	}
-	lat := r.params.BusCycles
-	if hops := r.Hops(from, to); hops > 0 {
-		lat += int64(hops)*r.params.LinkCycles + r.params.BusCycles
-	}
-	return lat
-}
-
 // NumPEs reports the number of processing elements on the ring.
 func (r *Ring) NumPEs() int { return r.numPEs }
 

@@ -109,26 +109,6 @@ func TestNoFalseContentionAcrossPartitions(t *testing.T) {
 	}
 }
 
-func TestFixedLatency(t *testing.T) {
-	r, err := New(8, 4, Params{BusCycles: 4, LinkCycles: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := r.FixedLatency(0, 0); got != 0 {
-		t.Errorf("self latency = %d", got)
-	}
-	if got := r.FixedLatency(0, 1); got != 4 {
-		t.Errorf("same partition latency = %d", got)
-	}
-	if got := r.FixedLatency(0, 4); got != 4+8+4 {
-		t.Errorf("two-hop latency = %d", got)
-	}
-	// FixedLatency must not disturb the resource clocks.
-	if got := r.Transfer(0, 0, 1); got != 4 {
-		t.Errorf("transfer after FixedLatency = %d", got)
-	}
-}
-
 func TestDeterminism(t *testing.T) {
 	run := func() []int64 {
 		r := mustNew(t, 8, 4)

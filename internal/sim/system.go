@@ -69,7 +69,7 @@ type System struct {
 	caches   []*mcache.Cache
 	mpFree   []int64
 	machines []*pe.Machine
-	mem      *replicatedMemory
+	mem      *pe.Memory
 
 	q   eventQueue
 	now int64
@@ -145,12 +145,11 @@ func NewProgram(prog *pe.Program, numPEs int, params Params) (*System, error) {
 		caches:   make([]*mcache.Cache, numPEs),
 		mpFree:   make([]int64, numPEs),
 		machines: make([]*pe.Machine, numPEs),
-		mem:      newReplicatedMemory(obj.DataWords, params.StoreBroadcast),
+		mem:      pe.NewMemory(obj.DataWords, obj.DataInit, int(params.StoreBroadcast)),
 		running:  make([]*pe.Context, numPEs),
 		lastCtx:  make([]*pe.Context, numPEs),
 		fuse:     !params.NoBatch,
 	}
-	s.mem.load(obj)
 	for i := 0; i < numPEs; i++ {
 		s.caches[i] = mcache.NewStrided(params.MsgCacheEntries, numPEs)
 		s.machines[i] = pe.NewMachine(i, params.PE, prog, s.mem)
@@ -249,11 +248,11 @@ func (s *System) RunContext(ctx context.Context) (*Result, error) {
 		Switches:        s.switches,
 		Resumes:         s.resumes,
 		RolledRegisters: s.rolledRegs,
-		MemReads:        s.mem.reads,
-		MemWrites:       s.mem.writes,
+		MemReads:        s.mem.Reads,
+		MemWrites:       s.mem.Writes,
 	}
 	if s.p.KeepData {
-		res.Data = append([]int32(nil), s.mem.words...)
+		res.Data = append([]int32(nil), s.mem.Words()...)
 	}
 	for _, m := range s.machines {
 		res.PEStats = append(res.PEStats, m.Stats)
