@@ -11,113 +11,6 @@ import (
 	"queuemachine/internal/sim"
 )
 
-// TestDifferentialRandomPrograms is the end-to-end differential fuzzer: for
-// each seed, a random OCCAM program is (a) executed by this package's
-// reference interpreter and (b) compiled by the Chapter 4 compiler — under
-// several optimization configurations — and simulated on multiprocessors of
-// several sizes. Every configuration must produce byte-identical vector
-// contents.
-func TestDifferentialRandomPrograms(t *testing.T) {
-	seeds := 60
-	if testing.Short() {
-		seeds = 8
-	}
-	configs := []struct {
-		name string
-		opts compile.Options
-	}{
-		{"optimized", compile.Options{}},
-		{"unoptimized", compile.Options{NoInputOrder: true, NoLiveFilter: true, NoPriority: true, NoConstFold: true}},
-	}
-	peCounts := []int{1, 3}
-
-	for seed := 0; seed < seeds; seed++ {
-		seed := seed
-		t.Run(fmt.Sprintf("seed-%d", seed), func(t *testing.T) {
-			src := Generate(rand.New(rand.NewSource(int64(seed))))
-
-			// Reference execution.
-			prog, err := occam.Parse(src)
-			if err != nil {
-				t.Fatalf("generated program does not parse: %v\n%s", err, src)
-			}
-			ref, err := Run(prog)
-			if err != nil {
-				t.Fatalf("reference interpreter: %v\n%s", err, src)
-			}
-			want := map[string][]int32{}
-			for _, name := range []string{"out", "va", "vb"} {
-				v, err := ref.VectorByName(name)
-				if err != nil {
-					t.Fatal(err)
-				}
-				want[name] = v
-			}
-
-			for _, cfg := range configs {
-				art, err := compile.Compile(src, cfg.opts)
-				if err != nil {
-					// The fully de-optimized configuration pushes every
-					// constant through the operand queue, and a large
-					// generated graph can legitimately exceed the
-					// architecture's 256-word page limit.
-					if cfg.opts.NoConstFold && strings.Contains(err.Error(), "operand queue") {
-						continue
-					}
-					t.Fatalf("%s: compile: %v\n%s", cfg.name, err, src)
-				}
-				for _, pes := range peCounts {
-					res, err := sim.Run(art.Object, pes, sim.DefaultParams())
-					if err != nil {
-						t.Fatalf("%s on %d PEs: %v\n%s", cfg.name, pes, err, src)
-					}
-					for name, w := range want {
-						base, err := art.VectorBase(name)
-						if err != nil {
-							t.Fatal(err)
-						}
-						for i, wv := range w {
-							got := res.Data[int(base)/4+i]
-							if got != wv {
-								t.Fatalf("%s on %d PEs: %s[%d] = %d, interpreter says %d\nprogram:\n%s",
-									cfg.name, pes, name, i, got, wv, src)
-							}
-						}
-					}
-				}
-			}
-		})
-	}
-}
-
-// TestGeneratorDeterministic pins the generator: the same seed yields the
-// same program.
-func TestGeneratorDeterministic(t *testing.T) {
-	a := Generate(rand.New(rand.NewSource(7)))
-	b := Generate(rand.New(rand.NewSource(7)))
-	if a != b {
-		t.Error("generator is not deterministic")
-	}
-	if a == Generate(rand.New(rand.NewSource(8))) {
-		t.Error("different seeds produced identical programs")
-	}
-}
-
-// TestGeneratedProgramsParse checks a wide seed range parses and interprets
-// cleanly (without the expensive simulation).
-func TestGeneratedProgramsParse(t *testing.T) {
-	for seed := 0; seed < 300; seed++ {
-		src := Generate(rand.New(rand.NewSource(int64(seed))))
-		prog, err := occam.Parse(src)
-		if err != nil {
-			t.Fatalf("seed %d: %v\n%s", seed, err, src)
-		}
-		if _, err := Run(prog); err != nil {
-			t.Fatalf("seed %d: interpret: %v\n%s", seed, err, src)
-		}
-	}
-}
-
 // TestDifferentialByteVectors fuzzes byte-vector programs: random
 // straight-line and looped byte reads/writes, compared between the
 // interpreter and the simulator with byte-level unpacking of the packed

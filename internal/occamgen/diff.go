@@ -24,8 +24,7 @@ const interpBudget = 2_000_000
 // diffConfigs are the compiler settings every program runs under. The
 // fully de-optimized configuration routes every constant through the
 // operand queue and may legitimately exceed the architecture's 256-word
-// page limit; that specific failure is skipped, as in the interp package's
-// differential suite.
+// page limit; that specific failure is skipped.
 var diffConfigs = []struct {
 	Name string
 	Opts compile.Options

@@ -14,6 +14,9 @@ func FuzzCompileRun(f *testing.F) {
 	for _, seed := range []int64{0, 1, 2, 3, 7, 13, 44} {
 		f.Add(GenerateSeed(seed, DefaultConfig()))
 	}
+	for _, seed := range []int64{0, 1, 2, 5} {
+		f.Add(GenerateSeed(seed, scalarConfig))
+	}
 	f.Add("var out[8], va[8], vb[4]:\nout[0] := 1\n")
 	f.Add(`var out[8], va[8], vb[4], s0, s1:
 chan c0:

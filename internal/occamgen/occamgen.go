@@ -1,11 +1,10 @@
 // Package occamgen generates random whole OCCAM programs for end-to-end
 // differential testing of the compiler→simulator pipeline against the
 // reference interpreter. It extends the enumeration idea of
-// internal/exprgen (every expression shape) and the scalar generator of
-// internal/interp (random channel-free programs) to the full statement
+// internal/exprgen (every expression shape) to the full statement
 // language: SEQ, PAR, IF, WHILE, replicators, nested procedure
-// declarations, and — the part the interpreter's generator cannot do —
-// channel communication between parallel branches.
+// declarations and, when Config.Channels is set, channel communication
+// between parallel branches.
 //
 // Generated programs are total, deterministic and deadlock-free by
 // construction:

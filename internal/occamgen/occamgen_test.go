@@ -86,7 +86,7 @@ func checkChannelBalance(t *testing.T, seed int, src string) {
 // TestGeneratorDeterministic pins that a seed fully determines the
 // program, across configurations.
 func TestGeneratorDeterministic(t *testing.T) {
-	for _, cfg := range []Config{DefaultConfig(), {Budget: 10, MaxDepth: 3}, {Budget: 40, MaxDepth: 5, Channels: true, Procs: 3}} {
+	for _, cfg := range []Config{DefaultConfig(), scalarConfig, {Budget: 10, MaxDepth: 3}, {Budget: 40, MaxDepth: 5, Channels: true, Procs: 3}} {
 		a := Generate(rand.New(rand.NewSource(99)), cfg)
 		b := Generate(rand.New(rand.NewSource(99)), cfg)
 		if a != b {
@@ -98,21 +98,34 @@ func TestGeneratorDeterministic(t *testing.T) {
 	}
 }
 
+// scalarConfig is the small channel-free shape: def mag, the pf and pv
+// procedures and a handful of top-level statements.
+var scalarConfig = Config{Budget: 6, MaxDepth: 4, Procs: 2}
+
 // TestDifferentialSeeds runs the full oracle — interpreter vs compiler
-// configurations vs machine sizes — over a seed range.
+// configurations vs machine sizes — over a seed range of the default
+// shape and of scalarConfig.
 func TestDifferentialSeeds(t *testing.T) {
-	seeds := 50
-	if testing.Short() {
-		seeds = 6
-	}
-	cfg := DefaultConfig()
-	for seed := 0; seed < seeds; seed++ {
-		seed := seed
-		t.Run(fmt.Sprintf("seed-%d", seed), func(t *testing.T) {
-			if f := CheckSeed(int64(seed), cfg); f != nil {
-				t.Fatal(f.Error())
-			}
-		})
+	for _, c := range []struct {
+		prefix string
+		cfg    Config
+		seeds  int
+		short  int
+	}{
+		{"seed", DefaultConfig(), 50, 6},
+		{"scalar-seed", scalarConfig, 60, 8},
+	} {
+		seeds := c.seeds
+		if testing.Short() {
+			seeds = c.short
+		}
+		for seed := 0; seed < seeds; seed++ {
+			t.Run(fmt.Sprintf("%s-%d", c.prefix, seed), func(t *testing.T) {
+				if f := CheckSeed(int64(seed), c.cfg); f != nil {
+					t.Fatalf("config %+v: %s", c.cfg, f.Error())
+				}
+			})
+		}
 	}
 }
 
