@@ -12,7 +12,7 @@
 // Propagation is two HTTP headers: TraceHeader carries the 128-bit trace
 // id and SpanHeader the caller's span id, which becomes the parent of the
 // receiving process's root span. A process opens a trace only when the
-// headers arrive (or its own sampler fires), so an untraced request costs
+// headers arrive, so an untraced request costs
 // one header lookup and nothing else — the same zero-cost-when-disabled
 // contract internal/trace keeps inside the simulator.
 //
@@ -83,22 +83,12 @@ type Span struct {
 type Tracer struct {
 	process  string
 	recorder *Recorder
-	sampler  func() bool // optional unsolicited sampling; nil = header-only
 }
 
 // NewTracer builds a tracer that commits completed traces to rec under
 // the given process name (shown as the process lane in stitched views).
 func NewTracer(process string, rec *Recorder) *Tracer {
 	return &Tracer{process: process, recorder: rec}
-}
-
-// SetSampler installs a decision function consulted for requests that
-// arrive without a trace header; when it returns true the tracer opens a
-// fresh trace anyway. Must be set before serving starts.
-func (t *Tracer) SetSampler(f func() bool) {
-	if t != nil {
-		t.sampler = f
-	}
 }
 
 // Process returns the tracer's process label ("" on nil).
@@ -175,9 +165,8 @@ func CurrentSpan(ctx context.Context) *ActiveSpan { return spanFrom(ctx) }
 
 // StartRequest opens this process's slice of a request's trace. When r
 // carries TraceHeader the incoming trace is continued, with the caller's
-// SpanHeader as the root's parent; otherwise the tracer's sampler (if
-// any) may open a fresh trace. Without either, it returns (r.Context(),
-// nil) after one header lookup — the untraced fast path.
+// SpanHeader as the root's parent. Without it, StartRequest returns
+// (r.Context(), nil) after one header lookup — the untraced fast path.
 //
 // The returned context carries the root span; derive every child from it
 // (context.WithTimeout/WithoutCancel preserve it). End the root span to
@@ -188,13 +177,10 @@ func (t *Tracer) StartRequest(r *http.Request, name string) (context.Context, *A
 		return ctx, nil
 	}
 	trace := TraceID(r.Header.Get(TraceHeader))
-	parent := SpanID(r.Header.Get(SpanHeader))
 	if trace == "" {
-		if t.sampler == nil || !t.sampler() {
-			return ctx, nil
-		}
-		trace, parent = NewTraceID(), ""
+		return ctx, nil
 	}
+	parent := SpanID(r.Header.Get(SpanHeader))
 	b := &builder{tracer: t, trace: trace}
 	s := &ActiveSpan{
 		b:     b,
