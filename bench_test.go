@@ -358,20 +358,11 @@ func BenchmarkGen2Chain(b *testing.B) {
 	benchWorkload(b, workloads.Chain(24), gen2PECounts)
 }
 
-// sweepPrograms are the eight exact-gated programs perfbench's sweep
-// compiles in its set-up, at their benchmark sizes.
-func sweepPrograms() []workloads.Workload {
-	return []workloads.Workload{
-		workloads.MatMul(8), workloads.FFT(6), workloads.Cholesky(8), workloads.Congruence(8),
-		workloads.Bitonic(4), workloads.LU(6), workloads.Stencil(16, 4), workloads.Chain(24),
-	}
-}
-
 // BenchmarkCompiler measures the OCCAM compiler on the eight exact-gated
 // programs perfbench's sweep compiles in its set-up, one sub-benchmark
 // each.
 func BenchmarkCompiler(b *testing.B) {
-	for _, wl := range sweepPrograms() {
+	for _, wl := range workloads.Gated() {
 		b.Run(wl.Name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
@@ -387,7 +378,7 @@ func BenchmarkCompiler(b *testing.B) {
 // step every compile, disk-tier read, peer fetch and sim.New pays, on the
 // eight sweep programs, one sub-benchmark each.
 func BenchmarkLoadProgram(b *testing.B) {
-	for _, wl := range sweepPrograms() {
+	for _, wl := range workloads.Gated() {
 		art, err := compile.Compile(wl.Source, compile.Options{})
 		if err != nil {
 			b.Fatal(err)

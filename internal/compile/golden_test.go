@@ -41,10 +41,7 @@ type goldenProgram struct{ name, src string }
 // and occamgen seeds 1–400.
 func goldenCorpus(t *testing.T) []goldenProgram {
 	var progs []goldenProgram
-	for _, wl := range []workloads.Workload{
-		workloads.MatMul(8), workloads.FFT(6), workloads.Cholesky(8), workloads.Congruence(8),
-		workloads.Bitonic(4), workloads.LU(6), workloads.Stencil(16, 4), workloads.Chain(24),
-	} {
+	for _, wl := range workloads.Gated() {
 		progs = append(progs, goldenProgram{"sweep/" + wl.Name, wl.Source})
 	}
 	corpus, err := load.Corpus("all")

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strings"
 
 	"queuemachine/internal/amdahl"
 	"queuemachine/internal/compile"
@@ -19,16 +20,12 @@ import (
 // programs. Every run's answer is verified against the workload's bit-exact
 // reference before its cycle count is admitted into the report.
 func SweepBenchmarks() map[string]workloads.Workload {
-	return map[string]workloads.Workload{
-		"matmul":     workloads.MatMul(8),
-		"fft":        workloads.FFT(6),
-		"cholesky":   workloads.Cholesky(8),
-		"congruence": workloads.Congruence(8),
-		"bitonic":    workloads.Bitonic(4),
-		"lu":         workloads.LU(6),
-		"stencil":    workloads.Stencil(16, 4),
-		"chain":      workloads.Chain(24),
+	m := map[string]workloads.Workload{}
+	for _, wl := range workloads.Gated() {
+		short, _, _ := strings.Cut(wl.Name, "-")
+		m[short] = wl
 	}
+	return m
 }
 
 // SweepBenchmarkNames lists the corpus in stable order.

@@ -18,10 +18,7 @@ import (
 func TestLoadedSlotsMatchDecode(t *testing.T) {
 	type program struct{ name, src string }
 	var progs []program
-	for _, wl := range []workloads.Workload{
-		workloads.MatMul(8), workloads.FFT(6), workloads.Cholesky(8), workloads.Congruence(8),
-		workloads.Bitonic(4), workloads.LU(6), workloads.Stencil(16, 4), workloads.Chain(24),
-	} {
+	for _, wl := range workloads.Gated() {
 		progs = append(progs, program{"sweep/" + wl.Name, wl.Source})
 	}
 	corpus, err := load.Corpus("all")

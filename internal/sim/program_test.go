@@ -170,10 +170,7 @@ func TestNewProgramMatchesNew(t *testing.T) {
 	}
 
 	// The 64-PE gate's programs (TestSixtyFourPECounts holds their counts).
-	for _, wl := range []workloads.Workload{
-		workloads.MatMul(8), workloads.FFT(6), workloads.Cholesky(8), workloads.Congruence(8),
-		workloads.Bitonic(4), workloads.LU(6), workloads.Stencil(16, 4), workloads.Chain(24),
-	} {
+	for _, wl := range workloads.Gated() {
 		art, err := compile.Compile(wl.Source, compile.Options{})
 		if err != nil {
 			t.Fatalf("%s: Compile: %v", wl.Name, err)

@@ -26,6 +26,16 @@ type Workload struct {
 	Check func(art *compile.Artifact, data []int32) error
 }
 
+// Gated returns the eight exact-gated programs at their benchmark sizes,
+// in bench order: the four Chapter 6 programs, then the second
+// generation.
+func Gated() []Workload {
+	return []Workload{
+		MatMul(8), FFT(6), Cholesky(8), Congruence(8),
+		Bitonic(4), LU(6), Stencil(16, 4), Chain(24),
+	}
+}
+
 // vec reads vector name[i] out of a run's data segment.
 func vec(art *compile.Artifact, data []int32, name string, i int) (int32, error) {
 	base, err := art.VectorBase(name)
