@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -22,6 +23,11 @@ const PeerHeader = "X-Qmd-Peer"
 // WorkersHeader carries a replica's worker count on every response it
 // sends. qgate reads it to tell when all of a replica's workers are busy.
 const WorkersHeader = "X-Qmd-Workers"
+
+// ErrDeclined is wrapped by FetchCompile's error when the peer answers
+// 404: it does not hold the program in memory. A declined lookup is a
+// healthy outcome, not a failed peer.
+var ErrDeclined = errors.New("program not in peer memory")
 
 // CompileOptions mirrors compile.Options with the service's stable wire
 // names; it is the JSON shape of the "options" field on /compile and
@@ -82,7 +88,8 @@ type peerCompileResponse struct {
 // and returns it, unvalidated, with each graph's code trimmed to its
 // length. The request carries PeerHeader, so the peer answers from its
 // memory alone: it never compiles, takes a worker or forwards for a
-// peer, and a program it does not hold comes back as a 404 error.
+// peer, and a program it does not hold comes back as an error wrapping
+// ErrDeclined.
 func (c *Client) FetchCompile(ctx context.Context, base, source string, opts compile.Options) (*isa.Object, error) {
 	body, err := json.Marshal(peerCompileRequest{Source: source, Options: OptionsFromCompile(opts)})
 	if err != nil {
@@ -104,6 +111,10 @@ func (c *Client) FetchCompile(ctx context.Context, base, source string, opts com
 		return nil, fmt.Errorf("fleet: peer %s: %w", base, err)
 	}
 	defer resp.Body.Close()
+	if resp.StatusCode == http.StatusNotFound {
+		io.Copy(io.Discard, io.LimitReader(resp.Body, 512))
+		return nil, fmt.Errorf("fleet: peer %s: %w", base, ErrDeclined)
+	}
 	if resp.StatusCode != http.StatusOK {
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
 		return nil, fmt.Errorf("fleet: peer %s answered %d: %s", base, resp.StatusCode, bytes.TrimSpace(msg))

@@ -1,9 +1,10 @@
 // Package fleet holds the shared machinery of the distributed serving
 // tier: a consistent-hash ring that assigns compiled-artifact ownership
 // to qmd replicas by fingerprint, a peer client through which a replica
-// that misses its caches asks the owning peer before compiling itself
-// (groupcache-style), and an HDR-style latency histogram shared by the
-// qgate front proxy and the qload load generator.
+// that misses its caches asks the owning peer's memory before compiling
+// itself (groupcache-style), and the wire names (compile options, peer and
+// worker headers) shared by qmd, the qgate front proxy and the qload load
+// generator.
 package fleet
 
 import (

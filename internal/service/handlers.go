@@ -240,10 +240,15 @@ func (s *Service) materialize(ctx context.Context, src string, opts compile.Opti
 				s.cache.add(fp, prog)
 				return prog, cacheStatePeer, nil
 			}
-			// A dead or slow owner, or an object that fails to load,
-			// degrades to a local compile; the request must not fail
-			// because a peer did.
-			ps.EndErr(err)
+			// A declined lookup, a dead or slow owner, or an object that
+			// fails to load degrades to a local compile; the request must
+			// not fail because a peer did. Only the last two are errors.
+			if errors.Is(err, fleet.ErrDeclined) {
+				ps.SetAttr("declined", "true")
+				ps.End()
+			} else {
+				ps.EndErr(err)
+			}
 			s.peerErrors.Inc()
 		}
 	}

@@ -112,9 +112,8 @@ func names(spans []xtrace.Span) []string {
 	return out
 }
 
-// TestUntracedRequestRecordsNothing: without a trace header (and without
-// a sampler) the recorder stays empty — tracing is strictly opt-in per
-// request.
+// TestUntracedRequestRecordsNothing: without a trace header the recorder
+// stays empty — tracing is strictly opt-in per request.
 func TestUntracedRequestRecordsNothing(t *testing.T) {
 	svc, ts := newTestServer(t, Config{})
 	status, raw := post(t, ts.URL+"/run", map[string]any{"source": sumSquares}, nil)
@@ -339,5 +338,63 @@ func TestPeerLookupAnswersFromMemory(t *testing.T) {
 	}
 	if n := svc.fails.Load(); n != 0 {
 		t.Errorf("qmd_errors_total = %d after declined lookups, want 0", n)
+	}
+}
+
+// TestDeclinedPeerLookupIsNotAnError: a cold program on the non-owner
+// answers 200 miss after the owner declines the lookup, and its trace
+// holds a peer.fetch span marked declined with no error, so the flight
+// recorder keeps no error outlier for it. A dead owner still fails the
+// span, and that trace is kept.
+func TestDeclinedPeerLookupIsNotAnError(t *testing.T) {
+	owner, self := newSwappableServer(t), newSwappableServer(t)
+	peers := []string{owner.URL(), self.URL()}
+	ownerSvc, err := New(Config{Workers: 1, Self: owner.URL(), Peers: peers})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A one-trace ring moves each trace to the outlier check as soon as
+	// the next one commits.
+	svc, err := New(Config{Workers: 1, Self: self.URL(), Peers: peers, TraceCapacity: 1, TraceSlow: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	owner.Set(ownerSvc.Handler())
+	self.Set(svc.Handler())
+
+	// run answers 200 with the given cache state and returns the
+	// trace's peer.fetch spans.
+	run := func(src, state string) []xtrace.Span {
+		t.Helper()
+		id := xtrace.NewTraceID()
+		resp, raw := tracedPost(t, self.URL()+"/run", id, map[string]any{"source": src})
+		if got := resp.Header.Get(cacheHeader); resp.StatusCode != http.StatusOK || got != state {
+			t.Fatalf("run: status %d, cache %q: %s; want 200 %q", resp.StatusCode, got, raw, state)
+		}
+		spans, _ := svc.traces.Get(id)
+		return spanNames(spans)["peer.fetch"]
+	}
+	cold := peerOwnedSource(t, svc.ring, owner.URL(), 0)
+	if f := run(cold, cacheStateMiss); len(f) != 1 || f[0].Attrs["declined"] != "true" || f[0].Error != "" {
+		t.Fatalf("declined lookup's peer.fetch spans = %+v, want one marked declined, no error", f)
+	}
+
+	owner.ts.Close()
+	if f := run(peerOwnedSource(t, svc.ring, owner.URL(), 1), cacheStateMiss); len(f) != 1 || f[0].Error == "" || f[0].Attrs["declined"] != "" {
+		t.Fatalf("dead owner's peer.fetch spans = %+v, want one with an error", f)
+	}
+	if n := svc.traces.Stats().Outliers; n != 0 {
+		t.Errorf("%d outliers after the declined lookup's trace left the ring, want 0", n)
+	}
+	// cold is in memory now, so this run fetches nothing and only pushes
+	// the dead owner's trace off the ring.
+	if f := run(cold, cacheStateHit); len(f) != 0 {
+		t.Fatalf("a memory hit fetched from a peer: %+v", f)
+	}
+	if n := svc.traces.Stats().Outliers; n != 1 {
+		t.Errorf("%d outliers after the failed fetch's trace left the ring, want 1", n)
+	}
+	if n := svc.peerErrors.Load(); n != 2 {
+		t.Errorf("qmd_peer_errors_total = %d, want 2 (declined and failed)", n)
 	}
 }
