@@ -12,9 +12,9 @@
 // Propagation is two HTTP headers: TraceHeader carries the 128-bit trace
 // id and SpanHeader the caller's span id, which becomes the parent of the
 // receiving process's root span. A process opens a trace only when the
-// headers arrive, so an untraced request costs
-// one header lookup and nothing else — the same zero-cost-when-disabled
-// contract internal/trace keeps inside the simulator.
+// headers arrive, so an untraced request costs one header lookup and
+// nothing else — the same zero-cost-when-disabled contract
+// internal/trace keeps inside the simulator.
 //
 // Span timestamps are wall-clock microseconds from each process's own
 // clock. Within one machine (the CI fleet, the e2e tests) that makes
@@ -180,7 +180,6 @@ func (t *Tracer) StartRequest(r *http.Request, name string) (context.Context, *A
 	if trace == "" {
 		return ctx, nil
 	}
-	parent := SpanID(r.Header.Get(SpanHeader))
 	b := &builder{tracer: t, trace: trace}
 	s := &ActiveSpan{
 		b:     b,
@@ -189,7 +188,7 @@ func (t *Tracer) StartRequest(r *http.Request, name string) (context.Context, *A
 		span: Span{
 			Trace:   trace,
 			ID:      NewSpanID(),
-			Parent:  parent,
+			Parent:  SpanID(r.Header.Get(SpanHeader)),
 			Process: t.process,
 			Name:    name,
 		},
