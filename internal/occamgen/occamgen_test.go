@@ -104,28 +104,29 @@ var scalarConfig = Config{Budget: 6, MaxDepth: 4, Procs: 2}
 
 // TestDifferentialSeeds runs the full oracle — interpreter vs compiler
 // configurations vs machine sizes — over a seed range of the default
-// shape and of scalarConfig.
+// shape.
 func TestDifferentialSeeds(t *testing.T) {
-	for _, c := range []struct {
-		prefix string
-		cfg    Config
-		seeds  int
-		short  int
-	}{
-		{"seed", DefaultConfig(), 50, 6},
-		{"scalar-seed", scalarConfig, 60, 8},
-	} {
-		seeds := c.seeds
-		if testing.Short() {
-			seeds = c.short
-		}
-		for seed := 0; seed < seeds; seed++ {
-			t.Run(fmt.Sprintf("%s-%d", c.prefix, seed), func(t *testing.T) {
-				if f := CheckSeed(int64(seed), c.cfg); f != nil {
-					t.Fatalf("config %+v: %s", c.cfg, f.Error())
-				}
-			})
-		}
+	checkSeeds(t, DefaultConfig(), 50, 6)
+}
+
+// TestDifferentialScalarSeeds runs the same oracle over a seed range of
+// scalarConfig.
+func TestDifferentialScalarSeeds(t *testing.T) {
+	checkSeeds(t, scalarConfig, 60, 8)
+}
+
+// checkSeeds runs CheckSeed on seeds 0..seeds-1 of cfg, or 0..short-1
+// with -short, one subtest per seed.
+func checkSeeds(t *testing.T, cfg Config, seeds, short int) {
+	if testing.Short() {
+		seeds = short
+	}
+	for seed := 0; seed < seeds; seed++ {
+		t.Run(fmt.Sprintf("seed-%d", seed), func(t *testing.T) {
+			if f := CheckSeed(int64(seed), cfg); f != nil {
+				t.Fatalf("config %+v: %s", cfg, f.Error())
+			}
+		})
 	}
 }
 
