@@ -247,60 +247,46 @@ func BenchmarkFig69(b *testing.B) {
 	}
 }
 
-// benchHost compiles a workload once and benchmarks the host-side cost of
-// simulating it: wall-clock time per run, allocations per run, and the
-// simulated-instruction throughput of the simulator itself as a
-// "simInstrs/s" metric. Where benchWorkload reports what the simulated
-// machine did, benchHost reports how fast the host executed the simulation.
-func benchHost(b *testing.B, wl workloads.Workload, peCounts []int) {
-	art, err := compile.Compile(wl.Source, compile.Options{})
-	if err != nil {
-		b.Fatal(err)
+// BenchmarkHostSweep measures how fast the host simulates the gated mix:
+// the eight exact-gated programs (workloads.Gated), compiled once, run
+// back to back at each machine size. It reports wall-clock time and
+// allocations per pass of the mix and the simulator's own throughput as a
+// "simInstrs/s" metric, the quantity perfbench's sweep gates on as
+// sim_minstr_per_s. Where the Fig/Gen2 benchmarks report what the
+// simulated machine did, this reports how fast the host executed it.
+func BenchmarkHostSweep(b *testing.B) {
+	wls := workloads.Gated()
+	arts := make([]*compile.Artifact, len(wls))
+	for i, wl := range wls {
+		art, err := compile.Compile(wl.Source, compile.Options{})
+		if err != nil {
+			b.Fatalf("%s: %v", wl.Name, err)
+		}
+		arts[i] = art
 	}
-	for _, pes := range peCounts {
-		pes := pes
+	// perfbench's sweep sizes: the thesis's 1–8 PE range plus 64, where
+	// kernel placement and ring traffic dominate.
+	for _, pes := range []int{1, 2, 4, 8, 64} {
 		b.Run(fmt.Sprintf("pes-%d", pes), func(b *testing.B) {
 			b.ReportAllocs()
 			var instrs int64
 			for i := 0; i < b.N; i++ {
-				res, err := sim.Run(art.Object, pes, sim.DefaultParams())
-				if err != nil {
-					b.Fatal(err)
+				for k, art := range arts {
+					res, err := sim.Run(art.Object, pes, sim.DefaultParams())
+					if err != nil {
+						b.Fatalf("%s: %v", wls[k].Name, err)
+					}
+					if err := wls[k].Check(art, res.Data); err != nil {
+						b.Fatalf("%s: %v", wls[k].Name, err)
+					}
+					instrs += res.Instructions
 				}
-				if err := wl.Check(art, res.Data); err != nil {
-					b.Fatal(err)
-				}
-				instrs += res.Instructions
 			}
 			if secs := b.Elapsed().Seconds(); secs > 0 {
 				b.ReportMetric(float64(instrs)/secs, "simInstrs/s")
 			}
 		})
 	}
-}
-
-// BenchmarkHostMatmul measures host throughput on the Figure 6.8 matrix
-// multiplication across the full machine-size sweep.
-func BenchmarkHostMatmul(b *testing.B) {
-	benchHost(b, workloads.MatMul(8), experiments.PECounts)
-}
-
-// BenchmarkHostFFT measures host throughput on the Figure 6.10 FFT at
-// eight processing elements.
-func BenchmarkHostFFT(b *testing.B) {
-	benchHost(b, workloads.FFT(6), []int{8})
-}
-
-// BenchmarkHostCholesky measures host throughput on the Figure 6.11
-// Cholesky decomposition at eight processing elements.
-func BenchmarkHostCholesky(b *testing.B) {
-	benchHost(b, workloads.Cholesky(8), []int{8})
-}
-
-// BenchmarkHostCongruence measures host throughput on the Figure 6.12
-// congruence transformation at eight processing elements.
-func BenchmarkHostCongruence(b *testing.B) {
-	benchHost(b, workloads.Congruence(8), []int{8})
 }
 
 // BenchmarkTable66 measures each compiler optimization's effect on the

@@ -71,7 +71,7 @@ func check(seed int64, cfg occamgen.Config, noShrink bool) *occamgen.Failure {
 		src := occamgen.GenerateSeed(seed, cfg)
 		f := occamgen.CheckProgram(src)
 		if f != nil {
-			f.Seed = seed
+			f.Seed, f.Config = seed, cfg
 		}
 		return f
 	}

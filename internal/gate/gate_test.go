@@ -26,7 +26,21 @@ type testFleet struct {
 	g        *Gate
 }
 
+// newTestFleet starts a fleet whose gate sweeps replica health every
+// 100 ms.
 func newTestFleet(t *testing.T, n int) *testFleet {
+	t.Helper()
+	f := newUnsweptFleet(t, n)
+	ctx, cancel := context.WithCancel(context.Background())
+	t.Cleanup(cancel)
+	f.g.Start(ctx)
+	return f
+}
+
+// newUnsweptFleet starts a fleet whose gate never runs its health sweep,
+// so every replica stays marked alive and only the gate's own proxying
+// can find one dead.
+func newUnsweptFleet(t *testing.T, n int) *testFleet {
 	t.Helper()
 	f := &testFleet{}
 	for i := 0; i < n; i++ {
@@ -43,9 +57,6 @@ func newTestFleet(t *testing.T, n int) *testFleet {
 	if err != nil {
 		t.Fatalf("gate.New: %v", err)
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	t.Cleanup(cancel)
-	g.Start(ctx)
 	f.g = g
 	f.gate = httptest.NewServer(g.Handler())
 	t.Cleanup(f.gate.Close)
@@ -197,8 +208,12 @@ func TestGateBitIdentical(t *testing.T) {
 	}
 }
 
+// TestGateFailover: a request whose owner has died fails over to another
+// replica and is counted. The fleet runs no health sweep, which could
+// otherwise mark the closed replica dead first and route the request
+// straight to a live one, with no failover to count.
 func TestGateFailover(t *testing.T) {
-	f := newTestFleet(t, 3)
+	f := newUnsweptFleet(t, 3)
 	// Find a program owned by replica 0, then kill that replica: the
 	// request must transparently fail over to another.
 	var body map[string]any

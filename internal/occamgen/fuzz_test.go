@@ -15,7 +15,7 @@ func FuzzCompileRun(f *testing.F) {
 		f.Add(GenerateSeed(seed, DefaultConfig()))
 	}
 	for _, seed := range []int64{0, 1, 2, 5} {
-		f.Add(GenerateSeed(seed, scalarConfig))
+		f.Add(GenerateSeed(seed, ScalarConfig()))
 	}
 	f.Add("var out[8], va[8], vb[4]:\nout[0] := 1\n")
 	f.Add(`var out[8], va[8], vb[4], s0, s1:

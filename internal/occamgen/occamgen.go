@@ -47,9 +47,17 @@ type Config struct {
 	Procs int
 }
 
-// DefaultConfig is the shape used by the differential fuzz campaigns.
+// DefaultConfig is the shape used by the differential fuzz campaigns and
+// cmd/qfuzz.
 func DefaultConfig() Config {
 	return Config{Budget: 24, MaxDepth: 4, Channels: true, Procs: 2}
+}
+
+// ScalarConfig is the small channel-free shape of
+// TestDifferentialScalarSeeds: def mag, the pf and pv procedures and a
+// handful of top-level statements.
+func ScalarConfig() Config {
+	return Config{Budget: 6, MaxDepth: 4, Procs: 2}
 }
 
 // GenerateSeed builds the program a seed denotes — the form every repro

@@ -1,6 +1,7 @@
 package occamgen
 
 import (
+	"flag"
 	"fmt"
 	"math/rand"
 	"regexp"
@@ -86,7 +87,7 @@ func checkChannelBalance(t *testing.T, seed int, src string) {
 // TestGeneratorDeterministic pins that a seed fully determines the
 // program, across configurations.
 func TestGeneratorDeterministic(t *testing.T) {
-	for _, cfg := range []Config{DefaultConfig(), scalarConfig, {Budget: 10, MaxDepth: 3}, {Budget: 40, MaxDepth: 5, Channels: true, Procs: 3}} {
+	for _, cfg := range []Config{DefaultConfig(), ScalarConfig(), {Budget: 10, MaxDepth: 3}, {Budget: 40, MaxDepth: 5, Channels: true, Procs: 3}} {
 		a := Generate(rand.New(rand.NewSource(99)), cfg)
 		b := Generate(rand.New(rand.NewSource(99)), cfg)
 		if a != b {
@@ -98,10 +99,6 @@ func TestGeneratorDeterministic(t *testing.T) {
 	}
 }
 
-// scalarConfig is the small channel-free shape: def mag, the pf and pv
-// procedures and a handful of top-level statements.
-var scalarConfig = Config{Budget: 6, MaxDepth: 4, Procs: 2}
-
 // TestDifferentialSeeds runs the full oracle — interpreter vs compiler
 // configurations vs machine sizes — over a seed range of the default
 // shape.
@@ -110,9 +107,9 @@ func TestDifferentialSeeds(t *testing.T) {
 }
 
 // TestDifferentialScalarSeeds runs the same oracle over a seed range of
-// scalarConfig.
+// ScalarConfig.
 func TestDifferentialScalarSeeds(t *testing.T) {
-	checkSeeds(t, scalarConfig, 60, 8)
+	checkSeeds(t, ScalarConfig(), 60, 8)
 }
 
 // checkSeeds runs CheckSeed on seeds 0..seeds-1 of cfg, or 0..short-1
@@ -124,10 +121,60 @@ func checkSeeds(t *testing.T, cfg Config, seeds, short int) {
 	for seed := 0; seed < seeds; seed++ {
 		t.Run(fmt.Sprintf("seed-%d", seed), func(t *testing.T) {
 			if f := CheckSeed(int64(seed), cfg); f != nil {
-				t.Fatalf("config %+v: %s", cfg, f.Error())
+				t.Fatal(f.Error())
 			}
 		})
 	}
+}
+
+// TestReproRegeneratesProgram: the repro line a seeded failure prints
+// regenerates its program byte for byte, whatever shape generated it.
+func TestReproRegeneratesProgram(t *testing.T) {
+	const seed = 3
+	budget := DefaultConfig()
+	budget.Budget = 9
+	for _, cfg := range []Config{DefaultConfig(), budget, ScalarConfig()} {
+		src := GenerateSeed(seed, cfg)
+		f := &Failure{Seed: seed, Config: cfg, Src: src, Stage: "compare", Detail: "diverged"}
+		repro := f.Repro()
+		if !strings.Contains(f.Error(), "\nreproduce with: "+repro+"\n") {
+			t.Errorf("config %+v: report does not carry its repro line:\n%s", cfg, f.Error())
+		}
+		if got := regenerate(t, repro); got != src {
+			t.Errorf("%s regenerates a %d-byte program, want the %d-byte one of config %+v", repro, len(got), len(src), cfg)
+		}
+	}
+	other := Config{Budget: 10, MaxDepth: 3}
+	f := &Failure{Seed: seed, Config: other}
+	if want := "occamgen.GenerateSeed(3, occamgen.Config{Budget:10, MaxDepth:3, Channels:false, Procs:0})"; f.Repro() != want {
+		t.Errorf("repro of another shape = %s, want %s", f.Repro(), want)
+	}
+}
+
+// regenerate builds the program a repro command denotes, reading it as its
+// tool does: cmd/qfuzz applies -budget to DefaultConfig, and the scalar
+// seeds test generates its seed under ScalarConfig.
+func regenerate(t *testing.T, repro string) string {
+	t.Helper()
+	if args, ok := strings.CutPrefix(repro, "go run ./cmd/qfuzz "); ok {
+		fs := flag.NewFlagSet("qfuzz", flag.ContinueOnError)
+		seed := fs.Int64("seed", -1, "")
+		fs.Int("n", 200, "")
+		budget := fs.Int("budget", 0, "")
+		if err := fs.Parse(strings.Fields(args)); err != nil {
+			t.Fatalf("%s: %v", repro, err)
+		}
+		cfg := DefaultConfig()
+		if *budget > 0 {
+			cfg.Budget = *budget
+		}
+		return GenerateSeed(*seed, cfg)
+	}
+	var seed int64
+	if _, err := fmt.Sscanf(repro, "go test ./internal/occamgen -run 'TestDifferentialScalarSeeds/seed-%d$'", &seed); err != nil {
+		t.Fatalf("unrecognised repro %q: %v", repro, err)
+	}
+	return GenerateSeed(seed, ScalarConfig())
 }
 
 // TestCheckProgramCatchesDivergence feeds the oracle a program whose

@@ -7,40 +7,31 @@ import (
 	"queuemachine/internal/trace"
 )
 
-// ActionKind discriminates the operations a processing element cannot
-// complete by itself and hands to the surrounding system (message processor
-// or kernel). The kind and its payload live inline in the Outcome rather
-// than behind an interface so the execute path never boxes a value onto the
-// heap.
+// ActionKind is what Machine.Exec reports besides the instruction's
+// cycles: whether the instruction completed locally, hands an operation to
+// the surrounding system (message processor or kernel), or failed. An
+// action's payload is left in the Machine's Ch, Val, Code, Arg or Err
+// field, so the execute path returns in registers and never boxes a value
+// onto the heap. After any action but ActNone the context must not execute
+// further until the system completes or resumes it.
 type ActionKind uint8
 
 const (
 	// ActNone: the instruction completed locally.
 	ActNone ActionKind = iota
-	// ActSend asks the message system to send Val on channel Ch. The
-	// context blocks until the rendezvous completes.
+	// ActSend asks the message system to send Machine.Val on channel
+	// Machine.Ch. The context blocks until the rendezvous completes.
 	ActSend
-	// ActRecv asks the message system for a value from channel Ch. The
-	// context blocks until a sender arrives; the value is delivered via
+	// ActRecv asks the message system for a value from channel Machine.Ch.
+	// The context blocks until a sender arrives; the value is delivered via
 	// Machine.Complete.
 	ActRecv
-	// ActTrap invokes the kernel entry point Code with argument Arg;
-	// results (if any) are delivered via Machine.Complete.
+	// ActTrap invokes the kernel entry point Machine.Code with argument
+	// Machine.Arg; results (if any) are delivered via Machine.Complete.
 	ActTrap
+	// ActFault: the instruction failed with the error in Machine.Err.
+	ActFault
 )
-
-// Outcome reports the execution of one instruction.
-type Outcome struct {
-	Cycles int
-	// Act is non-ActNone when the instruction requires external
-	// completion; the context must not execute further until the system
-	// completes or resumes it.
-	Act ActionKind
-	// Ch and Val carry the ActSend payload; ActRecv uses Ch alone.
-	Ch, Val int32
-	// Code and Arg carry the ActTrap payload.
-	Code, Arg int32
-}
 
 // Stats counts the events of one processing element's instruction stream.
 type Stats struct {
@@ -51,7 +42,7 @@ type Stats struct {
 	ChannelOps   int64 // send/recv issued
 	Traps        int64
 	Branches     int64
-	Cycles       int64 // total busy cycles accumulated by ExecOne
+	Cycles       int64 // total busy cycles accumulated by Exec
 	// QueueSum accumulates the operand queue length sampled at every
 	// instruction; QueueSum/Instructions is the mean queue length of
 	// §5.2's page-utilization trade-off.
@@ -175,6 +166,13 @@ type Machine struct {
 	Mem    *Memory
 	Stats  Stats
 	rec    trace.Recorder
+
+	// The payload of the action the last Exec reported: Ch and Val for
+	// ActSend, Ch for ActRecv, Code and Arg for ActTrap, Err for ActFault.
+	// Exec writes only the fields of the action it reports.
+	Ch, Val   int32
+	Code, Arg int32
+	Err       error
 }
 
 // NewMachine builds a processing element bound to a program and data memory.
@@ -292,37 +290,32 @@ func (c *Context) advanceQP(n int) {
 	c.qpSlot = idx
 }
 
-// ExecOne executes the instruction at the context's program counter. On a
-// blocking action the program counter and queue pointer are already
-// advanced; the pending destinations are stored in the context for
-// Complete. `now` is the simulated time of the issue, used only for
-// instrumentation.
+// Exec executes the instruction at the context's program counter and
+// returns its cycles and the action it needs from the surrounding system,
+// whose payload it leaves in the Machine's fields. On a blocking action the
+// program counter and queue pointer are already advanced; the pending
+// destinations are stored in the context for Complete. On ActFault the
+// cycles are 0 and Err holds the error. `now` is the simulated time of the
+// issue, used only for instrumentation.
 //
 // The simulator calls this for every simulated instruction, so it reads
-// the decoded instruction in place and builds the outcome once, in one
-// frame.
-func (m *Machine) ExecOne(c *Context, now int64) (Outcome, error) {
+// the decoded instruction in place and returns its two results in
+// registers.
+func (m *Machine) Exec(c *Context, now int64) (cycles int, act ActionKind) {
 	g := m.Prog.graphs[c.Graph]
 	if c.PC < 0 || c.PC >= len(g) || g[c.PC].words == 0 {
-		return Outcome{}, fmt.Errorf("pe: context %d: no instruction at graph %d pc %d", c.ID, c.Graph, c.PC)
+		return m.fault(fmt.Errorf("pe: context %d: no instruction at graph %d pc %d", c.ID, c.Graph, c.PC))
 	}
 	d := &g[c.PC]
 	graph, pc, wm := c.Graph, c.PC, m.Stats.WindowMisses
 	m.Stats.Instructions++
 	m.Stats.QueueSum += int64(c.QueueLength())
-	// The outcome's fields stay in locals until the one return that
-	// assembles it, so it travels back in registers.
-	cycles := m.Params.ALU
-	var (
-		act       ActionKind
-		ch, val   int32
-		code, arg int32
-	)
+	cycles = m.Params.ALU
 
 	if d.class == classDup {
 		extra, err := m.execDup(c, d)
 		if err != nil {
-			return Outcome{}, err
+			return m.fault(err)
 		}
 		cycles += extra
 	} else {
@@ -331,14 +324,14 @@ func (m *Machine) ExecOne(c *Context, now int64) (Outcome, error) {
 		if d.srcs >= 1 {
 			v, extra, err := m.readSrc(c, d.mode1, d.reg1, d.imm1)
 			if err != nil {
-				return Outcome{}, err
+				return m.fault(err)
 			}
 			v1, cycles = v, cycles+extra
 		}
 		if d.srcs >= 2 {
 			v, extra, err := m.readSrc(c, d.mode2, d.reg2, d.imm2)
 			if err != nil {
-				return Outcome{}, err
+				return m.fault(err)
 			}
 			v2, cycles = v, cycles+extra
 		}
@@ -362,35 +355,35 @@ func (m *Machine) ExecOne(c *Context, now int64) (Outcome, error) {
 			m.Stats.MemOps++
 			extra, err := m.execMem(c, d, v1, v2)
 			if err != nil {
-				return Outcome{}, err
+				return m.fault(err)
 			}
 			cycles += m.Params.Mem + extra
 		case classChannel:
 			m.Stats.ChannelOps++
 			cycles += m.Params.ChanOp
-			ch = v1
+			m.Ch = v1
 			if d.op == isa.OpSend {
-				act, val = ActSend, v2
+				act, m.Val = ActSend, v2
 			} else {
 				act = ActRecv
 				c.PendDst1, c.PendDst2 = int(d.dst1), int(d.dst2)
 			}
 		case classTrap:
 			if d.op == isa.OpFret || d.op == isa.OpRett {
-				return Outcome{}, fmt.Errorf("pe: context %d: %v outside kernel mode", c.ID, d.op)
+				return m.fault(fmt.Errorf("pe: context %d: %v outside kernel mode", c.ID, d.op))
 			}
 			m.Stats.Traps++
 			cycles += m.Params.Trap
-			act, code, arg = ActTrap, v1, v2
+			act, m.Code, m.Arg = ActTrap, v1, v2
 			c.PendDst1, c.PendDst2 = int(d.dst1), int(d.dst2)
 		default:
 			// Logical, arithmetic or comparison operation.
 			res, err := isa.EvalALU(d.op, v1, v2)
 			if err != nil {
-				return Outcome{}, fmt.Errorf("pe: context %d graph %d pc %d: %w", c.ID, c.Graph, c.PC, err)
+				return m.fault(fmt.Errorf("pe: context %d graph %d pc %d: %w", c.ID, c.Graph, c.PC, err))
 			}
 			if err := m.writeResult(c, d, res); err != nil {
-				return Outcome{}, err
+				return m.fault(err)
 			}
 		}
 	}
@@ -402,7 +395,14 @@ func (m *Machine) ExecOne(c *Context, now int64) (Outcome, error) {
 		info, _ := isa.Lookup(d.op)
 		m.rec.Instr(m.PEID, c.ID, graph, pc, info.Mnemonic, now, cycles, stall)
 	}
-	return Outcome{Cycles: cycles, Act: act, Ch: ch, Val: val, Code: code, Arg: arg}, nil
+	return cycles, act
+}
+
+// fault reports a failed instruction: it leaves err in m.Err and returns
+// Exec's results for it.
+func (m *Machine) fault(err error) (int, ActionKind) {
+	m.Err = err
+	return 0, ActFault
 }
 
 // execDup executes a dup instruction: it writes the previous result

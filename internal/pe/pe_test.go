@@ -13,26 +13,36 @@ import (
 	"queuemachine/internal/isa"
 )
 
+// exec executes one instruction of c at time 0, returning Exec's results
+// and, for ActFault, the error it left in m.Err.
+func exec(m *Machine, c *Context) (int, ActionKind, error) {
+	cycles, act := m.Exec(c, 0)
+	if act == ActFault {
+		return cycles, act, m.Err
+	}
+	return cycles, act, nil
+}
+
 // runToExit executes a single context until it traps to KExit, failing on
 // any other action.
 func runToExit(t *testing.T, m *Machine, c *Context, maxInstr int) int {
 	t.Helper()
 	cycles := 0
 	for i := 0; i < maxInstr; i++ {
-		out, err := m.ExecOne(c, 0)
+		n, act, err := exec(m, c)
 		if err != nil {
-			t.Fatalf("ExecOne: %v", err)
+			t.Fatalf("Exec: %v", err)
 		}
-		cycles += out.Cycles
-		switch out.Act {
+		cycles += n
+		switch act {
 		case ActNone:
 		case ActTrap:
-			if out.Code == isa.KExit {
+			if m.Code == isa.KExit {
 				return cycles
 			}
-			t.Fatalf("unexpected trap %d", out.Code)
+			t.Fatalf("unexpected trap %d", m.Code)
 		default:
-			t.Fatalf("unexpected action %d", out.Act)
+			t.Fatalf("unexpected action %d", act)
 		}
 	}
 	t.Fatal("context did not exit")
@@ -123,7 +133,7 @@ func TestDupWritesMemoryPage(t *testing.T) {
 `)
 	// Execute the first two instructions and inspect presence bits.
 	for i := 0; i < 2; i++ {
-		if _, err := m.ExecOne(c, 0); err != nil {
+		if _, _, err := exec(m, c); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -139,7 +149,7 @@ func TestDupWritesMemoryPage(t *testing.T) {
 	}
 	// The plus that consumes r0,r1 sees one hit (r0) and one miss (r1).
 	hits, misses := m.Stats.WindowHits, m.Stats.WindowMisses
-	if _, err := m.ExecOne(c, 0); err != nil {
+	if _, _, err := exec(m, c); err != nil {
 		t.Fatal(err)
 	}
 	if m.Stats.WindowHits != hits+1 || m.Stats.WindowMisses != misses+1 {
@@ -197,22 +207,22 @@ func TestSendRecvActions(t *testing.T) {
 	recv #7 :r0
 	trap #0,#0
 `)
-	if _, err := m.ExecOne(c, 0); err != nil {
+	if _, _, err := exec(m, c); err != nil {
 		t.Fatal(err)
 	}
-	out, err := m.ExecOne(c, 0)
+	_, act, err := exec(m, c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.Act != ActSend || out.Ch != 7 || out.Val != 3 {
-		t.Fatalf("send action = %#v", out)
+	if act != ActSend || m.Ch != 7 || m.Val != 3 {
+		t.Fatalf("send action = %d ch %d val %d", act, m.Ch, m.Val)
 	}
-	out, err = m.ExecOne(c, 0)
+	_, act, err = exec(m, c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.Act != ActRecv || out.Ch != 7 {
-		t.Fatalf("recv action = %#v", out)
+	if act != ActRecv || m.Ch != 7 {
+		t.Fatalf("recv action = %d ch %d", act, m.Ch)
 	}
 	// Deliver the value and check it lands in r0.
 	if err := m.Complete(c, 42); err != nil {
@@ -230,12 +240,12 @@ func TestTrapChannels(t *testing.T) {
 	trap #1,#0 :r17,r18
 	trap #0,#0
 `)
-	out, err := m.ExecOne(c, 0)
+	_, act, err := exec(m, c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.Act != ActTrap || out.Code != isa.KRFork {
-		t.Fatalf("action = %#v", out)
+	if act != ActTrap || m.Code != isa.KRFork {
+		t.Fatalf("action = %d code %d", act, m.Code)
 	}
 	if err := m.Complete2(c, 100, 101); err != nil {
 		t.Fatal(err)
@@ -262,7 +272,7 @@ func TestRollOutAndSwitchCost(t *testing.T) {
 	trap #0,#0
 `)
 	for i := 0; i < 3; i++ {
-		if _, err := m.ExecOne(c, 0); err != nil {
+		if _, _, err := exec(m, c); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -311,14 +321,14 @@ func TestErrors(t *testing.T) {
 	div #1,#0 :r0
 	trap #0,#0
 `)
-	if _, err := m.ExecOne(c, 0); err == nil || !strings.Contains(err.Error(), "division") {
+	if _, _, err := exec(m, c); err == nil || !strings.Contains(err.Error(), "division") {
 		t.Errorf("division by zero: %v", err)
 	}
 
 	// Bad PC.
 	c2 := NewContext(1, 0, 32)
 	c2.PC = 999
-	if _, err := m.ExecOne(c2, 0); err == nil {
+	if _, _, err := exec(m, c2); err == nil {
 		t.Error("bad PC accepted")
 	}
 
@@ -328,10 +338,51 @@ func TestErrors(t *testing.T) {
 	fetch #-4 :r0
 	trap #0,#0
 `)
-	if _, err := m3.ExecOne(c3, 0); err == nil {
+	if _, _, err := exec(m3, c3); err == nil {
 		t.Error("negative address accepted")
 	}
 	_ = c
+}
+
+// TestExecAllocs: executing an instruction allocates nothing, whatever it
+// hands to the system. Exec returns its cycles and action in registers and
+// leaves an action's payload in the Machine's fields, so no result is ever
+// boxed onto the heap, and the simulator's batching loop stays
+// allocation-free.
+func TestExecAllocs(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		code string // instructions executed from pc 0 on each run
+		n    int    // how many
+		last ActionKind
+	}{
+		{"alu", `
+	plus #3,#4 :r0
+	mul+1 r0,#2 :r0
+	store+1 #0,r0
+	fetch #0 :r0
+	beq+1 r0,#1
+	minus #9,#2 :r1`, 6, ActNone},
+		{"send", "\tsend #7,#3", 1, ActSend},
+		{"recv", "\trecv #7 :r0", 1, ActRecv},
+		{"trap", "\ttrap #1,#0 :r17,r18", 1, ActTrap},
+	} {
+		m, c, _ := load(t, ".graph main queue=32\n"+tc.code+"\n\ttrap #0,#0\n")
+		run := func() ActionKind {
+			c.PC = 0
+			act := ActNone
+			for i := 0; i < tc.n && act == ActNone; i++ {
+				_, act = m.Exec(c, 0)
+			}
+			return act
+		}
+		if act := run(); act != tc.last || c.PC != tc.n {
+			t.Fatalf("%s: action %d at pc %d (err %v), want %d at pc %d", tc.name, act, c.PC, m.Err, tc.last, tc.n)
+		}
+		if allocs := testing.AllocsPerRun(100, func() { run() }); allocs != 0 {
+			t.Errorf("%s: Exec allocates %v times per run, want 0", tc.name, allocs)
+		}
+	}
 }
 
 func TestMemoryBounds(t *testing.T) {
@@ -374,7 +425,7 @@ func TestNegativeQPWrite(t *testing.T) {
 	plus r0,#0 :r1
 	trap #0,#0
 `)
-	_, err := m.ExecOne(c, 0)
+	_, _, err := exec(m, c)
 	if err == nil || !strings.Contains(err.Error(), "pe: context 0") || !strings.Contains(err.Error(), "-1") {
 		t.Fatalf("negative QP write: %v", err)
 	}

@@ -49,13 +49,17 @@ const (
 	thenSendDone
 )
 
-// event is one scheduled simulator occurrence. Events are plain values:
-// they live inline in the queue's backing array and are copied in and out
-// of it, so scheduling allocates nothing once the array has grown to the
-// run's high-water mark — the array doubles as the event free list.
+// event is one scheduled simulator occurrence, 32 bytes. The queue orders
+// events by time and, among events of one time, by schedule order, which
+// the calendar's bucket FIFOs keep without an order stamp in the event
+// (see eventQueue); TestEventSize holds the size. Events live in the
+// queue's slab: push hands out a slot and the scheduler writes the fields
+// straight into it, and pop copies the minimum into an event the caller
+// owns, so an event is assembled once and copied once. Scheduling
+// allocates nothing once the slab has grown to the run's high-water mark:
+// the slab doubles as the event free list.
 type event struct {
 	time int64
-	seq  uint64
 
 	pe  int32 // processing element concerned (evStep, evKick, deliveries)
 	ctx int32 // context id
@@ -87,24 +91,26 @@ const (
 	calWords = calWidth / 64
 )
 
-// eventQueue is a deterministic priority queue ordered by (time, seq): a
-// calendar queue (Brown, CACM 31(10), 1988) of calWidth one-cycle buckets
-// covering the window [base, base+calWidth), with a 4-ary heap for the
-// events scheduled beyond it. base is the time of the last pop, so it
-// never passes a pending event.
+// eventQueue is a deterministic priority queue ordered by time and then by
+// schedule order: a calendar queue (Brown, CACM 31(10), 1988) of calWidth
+// one-cycle buckets covering the window [base, base+calWidth), with a
+// 4-ary heap for the events scheduled beyond it. base is the time of the
+// last pop, so it never passes a pending event.
 //
-// Each bucket is an intrusive FIFO threaded through one growing slab of
-// slots with a free list, and a bitmap of non-empty buckets finds the
-// earliest one in a few word tests, so push and pop are O(1) for in-window
-// events and allocate nothing once the slab has reached the run's
-// high-water mark.
+// Each bucket is a FIFO of slots in one growing slab of events, linked
+// through a parallel array with a free list, and a bitmap of non-empty
+// buckets finds the earliest one in a few word tests, so push and pop are
+// O(1) for in-window events and allocate nothing once the slab has reached
+// the run's high-water mark. Keeping the links apart leaves each slot one
+// 32-byte event, which never straddles a cache line.
 //
 // The order is exact. A bucket holds only events of one time, because the
 // window spans calWidth cycles, one bucket each. Within a bucket FIFO
-// order is seq order: the simulator assigns seq in push order, an overflow
-// event moves into its bucket as soon as the window first covers its
-// time, before any direct push can land there, and the heap hands such
-// events over in (time, seq) order.
+// order is schedule order: a direct push appends to its bucket, an
+// overflow event moves into its bucket as soon as the window first covers
+// its time, before any direct push can land there, and the heap hands
+// such events over in time and then schedule order, which its own order
+// stamp records.
 type eventQueue struct {
 	base int64
 	n    int // events queued, in buckets and heap
@@ -114,15 +120,11 @@ type eventQueue struct {
 	// is never used, so index 0 ends a list and the zero queue is empty.
 	head, tail [calWidth]int32
 	bits       [calWords]uint64 // bit b: bucket b is non-empty
-	slab       []slot
-	free       int32 // first free slot, 0 when none
+	slab       []event          // slab[i] is slot i's event
+	next       []int32          // next[i] follows slot i in its list
+	free       int32            // first free slot, 0 when none
 
 	far eventHeap // events at base+calWidth or later
-}
-
-type slot struct {
-	ev   event
-	next int32
 }
 
 func (q *eventQueue) len() int { return q.n }
@@ -131,69 +133,84 @@ func (q *eventQueue) len() int { return q.n }
 // can ever preempt a straight-line run.
 const horizonInf = int64(math.MaxInt64)
 
-// push inserts e. Events must be pushed in seq order, and no earlier than
-// the last pop unless the queue has drained.
-func (q *eventQueue) push(e event) {
-	if e.time < q.base {
+// push queues an event of the given kind at time t, after every event
+// already queued at t, and returns it for the caller to fill in the rest
+// of the payload its kind carries; the other payload fields are zero. The
+// pointer is the event's place in the queue, valid until the next push or
+// pop. Nothing may be pushed before the last pop unless the queue has
+// drained.
+func (q *eventQueue) push(t int64, kind eventKind, pe, ctx int32) *event {
+	if t < q.base {
 		if q.n != 0 {
 			panic("sim: event scheduled before the current time")
 		}
-		q.base = e.time
+		q.base = t
 	}
 	q.n++
-	q.insert(e)
+	var e *event
+	if t-q.base >= calWidth {
+		e = q.far.push(t)
+	} else {
+		e = q.insert(t)
+	}
+	e.time, e.kind, e.pe, e.ctx = t, kind, pe, ctx
+	e.src, e.ch, e.val, e.op, e.then = 0, 0, 0, opSend, thenNone
+	return e
 }
 
-// insert files e in its bucket, or in the heap when it lies beyond the
-// window.
-func (q *eventQueue) insert(e event) {
-	if e.time-q.base >= calWidth {
-		q.far.push(e)
-		return
-	}
+// insert appends a slot to the bucket of time t, which must lie in the
+// window, and returns the slot's event, left as it was, for the caller to
+// write. The pointer is valid until the next insert.
+func (q *eventQueue) insert(t int64) *event {
 	i := q.free
 	if i != 0 {
-		q.free = q.slab[i].next
-		q.slab[i] = slot{ev: e}
+		q.free = q.next[i]
+		q.next[i] = 0
 	} else {
 		if len(q.slab) == 0 {
-			q.slab = append(q.slab, slot{}) // slot 0 is the list terminator
+			// Slot 0 is the list terminator.
+			q.slab, q.next = append(q.slab, event{}), append(q.next, 0)
 		}
 		i = int32(len(q.slab))
-		q.slab = append(q.slab, slot{ev: e})
+		q.slab, q.next = append(q.slab, event{}), append(q.next, 0)
 	}
-	b := int(e.time) & calMask
+	b := int(t) & calMask
 	if q.head[b] == 0 {
 		q.head[b] = i
 		q.bits[b>>6] |= 1 << (b & 63)
 	} else {
-		q.slab[q.tail[b]].next = i
+		q.next[q.tail[b]] = i
 	}
 	q.tail[b] = i
+	return &q.slab[i]
 }
 
-// pop removes and returns the minimum event.
-func (q *eventQueue) pop() event {
+// pop removes the minimum event and copies it into e.
+func (q *eventQueue) pop(e *event) {
 	q.n--
 	b := q.scan(int(q.base))
 	if b < 0 {
-		e := q.far.pop()
+		q.far.pop(e)
 		q.advance(e.time)
-		return e
+		return
 	}
 	i := q.head[b]
 	s := &q.slab[i]
-	e := s.ev
-	q.head[b] = s.next
-	if s.next == 0 {
+	// Field by field: the event was written field by field, often just
+	// now, and a wide copy's loads would each span several of those
+	// stores, which the processor cannot forward from its store buffer.
+	e.time, e.pe, e.ctx, e.src, e.ch, e.val = s.time, s.pe, s.ctx, s.src, s.ch, s.val
+	e.kind, e.op, e.then = s.kind, s.op, s.then
+	next := q.next[i]
+	q.head[b] = next
+	if next == 0 {
 		q.bits[b>>6] &^= 1 << (b & 63)
 	}
-	s.next = q.free
+	q.next[i] = q.free
 	q.free = i
 	if e.time != q.base {
 		q.advance(e.time)
 	}
-	return e
 }
 
 // peekTime reports the earliest scheduled time without popping, or
@@ -201,7 +218,8 @@ func (q *eventQueue) pop() event {
 // step-batching loop runs against.
 func (q *eventQueue) peekTime() int64 {
 	if b := q.scan(int(q.base)); b >= 0 {
-		return q.slab[q.head[b]].ev.time
+		// Bucket b holds the one window time congruent to it.
+		return q.base + int64((b-int(q.base))&calMask)
 	}
 	return q.far.peekTime()
 }
@@ -230,54 +248,76 @@ func (q *eventQueue) scan(from int) int {
 // event the window now covers into its bucket.
 func (q *eventQueue) advance(t int64) {
 	q.base = t
-	for len(q.far.a) > 0 && q.far.a[0].time-t < calWidth {
-		q.insert(q.far.pop())
+	for len(q.far.a) > 0 && q.far.a[0].ev.time-t < calWidth {
+		q.far.pop(q.insert(q.far.a[0].ev.time))
 	}
 }
 
-// eventHeap is a min-heap ordered by (time, seq), laid out as an
-// index-based 4-ary heap over a flat event array; the calendar keeps it
-// for the events beyond its window.
+// farEvent is an event waiting beyond the calendar's window, stamped with
+// its place in the heap's push order.
+type farEvent struct {
+	ev  event
+	seq uint64
+}
+
+// eventHeap is a min-heap ordered by time and then by push order, laid
+// out as an index-based 4-ary heap over a flat array; the calendar keeps
+// it for the events beyond its window. Events are pushed in schedule
+// order, so push order among events of one time is schedule order.
 type eventHeap struct {
-	a []event
+	a   []farEvent
+	seq uint64 // order stamp of the next push
 }
 
 func (h *eventHeap) peekTime() int64 {
 	if len(h.a) == 0 {
 		return horizonInf
 	}
-	return h.a[0].time
+	return h.a[0].ev.time
 }
 
-// less orders events by (time, seq); seq breaks ties in schedule order,
-// which is what makes the simulation deterministic.
-func (h *eventHeap) less(i, j int) bool {
-	if h.a[i].time != h.a[j].time {
-		return h.a[i].time < h.a[j].time
+// earlier reports whether an entry at time t stamped seq goes before f:
+// seq breaks ties in push order, which is what makes the simulation
+// deterministic.
+func earlier(t int64, seq uint64, f *farEvent) bool {
+	if t != f.ev.time {
+		return t < f.ev.time
 	}
-	return h.a[i].seq < h.a[j].seq
+	return seq < f.seq
 }
 
-// push inserts e, sifting it up toward the root.
-func (h *eventHeap) push(e event) {
-	h.a = append(h.a, e)
+// push makes room for an event at time t, moving down a level each parent
+// it goes before, and returns the event's place for the caller to fill
+// in; the pointer is valid until the next push or pop.
+func (h *eventHeap) push(t int64) *event {
+	seq := h.seq
+	h.seq++
+	h.a = append(h.a, farEvent{})
 	i := len(h.a) - 1
 	for i > 0 {
 		p := (i - 1) / 4
-		if !h.less(i, p) {
+		if !earlier(t, seq, &h.a[p]) {
 			break
 		}
-		h.a[i], h.a[p] = h.a[p], h.a[i]
+		h.a[i] = h.a[p]
 		i = p
 	}
+	h.a[i].ev.time, h.a[i].seq = t, seq
+	return &h.a[i].ev
 }
 
-// pop removes and returns the minimum event.
-func (h *eventHeap) pop() event {
-	top := h.a[0]
+// pop removes the minimum event and copies it into e, which must not
+// point into the heap.
+func (h *eventHeap) pop(e *event) {
+	*e = h.a[0].ev
 	n := len(h.a) - 1
-	h.a[0] = h.a[n]
+	last := h.a[n]
 	h.a = h.a[:n]
+	if n == 0 {
+		return
+	}
+	// Move the least child up into the hole left at the root until the
+	// last entry goes before every child of the hole.
 	i := 0
 	for {
 		first := 4*i + 1
@@ -285,17 +325,17 @@ func (h *eventHeap) pop() event {
 			break
 		}
 		least := first
-		last := min(first+4, n)
-		for c := first + 1; c < last; c++ {
-			if h.less(c, least) {
+		end := min(first+4, n)
+		for c := first + 1; c < end; c++ {
+			if earlier(h.a[c].ev.time, h.a[c].seq, &h.a[least]) {
 				least = c
 			}
 		}
-		if !h.less(least, i) {
+		if earlier(last.ev.time, last.seq, &h.a[least]) {
 			break
 		}
-		h.a[i], h.a[least] = h.a[least], h.a[i]
+		h.a[i] = h.a[least]
 		i = least
 	}
-	return top
+	h.a[i] = last
 }

@@ -4,20 +4,22 @@ import (
 	"math/rand"
 	"sort"
 	"testing"
+	"unsafe"
 )
 
-// TestEventQueueOrdering: the calendar queue pops in (time, seq) order and
-// reports the same peekTime as a stable sort by time of the pending events
-// in push (and so seq) order. Each input gives the times to push before the
-// next pop, from the time of the last pop, until a quota of pushes is
-// reached; the queue then drains.
+// TestEventQueueOrdering: the calendar queue pops the pending events in the
+// order of a stable sort by time of their push order, and reports the same
+// peekTime. Each input gives the times to push before the next pop, from
+// the time of the last pop, until a quota of pushes is reached; the queue
+// then drains. Each event carries its push index in pe, so a pop in the
+// wrong order among equal times shows.
 func TestEventQueueOrdering(t *testing.T) {
 	const w = calWidth
 	inputs := []struct {
 		name string
 		next func(rng *rand.Rand, now int64, quota int) []int64
 	}{
-		// All pushed up front, with many ties to exercise seq order.
+		// All pushed up front, with many ties to exercise schedule order.
 		{"ties", func(rng *rand.Rand, now int64, quota int) []int64 {
 			return upfront(quota, func() int64 { return int64(rng.Intn(20)) })
 		}},
@@ -55,6 +57,17 @@ func TestEventQueueOrdering(t *testing.T) {
 			}
 			return ts
 		}},
+		// Runs of equal far times interleaved with near ones, so several
+		// events of one time wait in the overflow heap together and must
+		// enter their bucket in schedule order.
+		{"far-ties", func(rng *rand.Rand, now int64, quota int) []int64 {
+			var ts []int64
+			far := now + w + int64(rng.Intn(2*w))
+			for k := 2 + rng.Intn(6); k > 0; k-- {
+				ts = append(ts, far, now+int64(rng.Intn(8)))
+			}
+			return ts
+		}},
 	}
 	for _, in := range inputs {
 		rng := rand.New(rand.NewSource(42))
@@ -62,15 +75,15 @@ func TestEventQueueOrdering(t *testing.T) {
 			var q eventQueue
 			var pending []event
 			var now int64
-			var seq uint64
+			pushed := 0
 			quota := 1 + rng.Intn(300)
 			for pops := 0; ; pops++ {
-				if int(seq) < quota {
-					for _, at := range in.next(rng, now, quota-int(seq)) {
-						e := event{time: at, seq: seq, pe: int32(seq), val: int32(at)}
-						seq++
-						q.push(e)
-						pending = append(pending, e)
+				if pushed < quota {
+					for _, at := range in.next(rng, now, quota-pushed) {
+						e := q.push(at, evStep, int32(pushed), int32(at))
+						e.val = int32(pushed) * 3
+						pending = append(pending, *e)
+						pushed++
 					}
 				}
 				sort.SliceStable(pending, func(i, j int) bool { return pending[i].time < pending[j].time })
@@ -78,7 +91,7 @@ func TestEventQueueOrdering(t *testing.T) {
 					t.Fatalf("%s trial %d pop %d: len = %d, want %d", in.name, trial, pops, q.len(), len(pending))
 				}
 				if len(pending) == 0 {
-					if int(seq) < quota {
+					if pushed < quota {
 						continue
 					}
 					if got := q.peekTime(); got != horizonInf {
@@ -90,9 +103,10 @@ func TestEventQueueOrdering(t *testing.T) {
 				if got := q.peekTime(); got != want.time {
 					t.Fatalf("%s trial %d pop %d: peekTime = %d, want %d", in.name, trial, pops, got, want.time)
 				}
-				if got := q.pop(); got != want {
-					t.Fatalf("%s trial %d pop %d: got (t=%d seq=%d), want (t=%d seq=%d)",
-						in.name, trial, pops, got.time, got.seq, want.time, want.seq)
+				var got event
+				if q.pop(&got); got != want {
+					t.Fatalf("%s trial %d pop %d: got (t=%d push %d), want (t=%d push %d)",
+						in.name, trial, pops, got.time, got.pe, want.time, want.pe)
 				}
 				pending = pending[1:]
 				now = want.time
@@ -118,28 +132,57 @@ func TestEventQueuePeekEmpty(t *testing.T) {
 	}
 }
 
-// TestEventQueueSteadyStateAllocs: once the backing array has grown to its
-// high-water mark, push/pop cycles allocate nothing — the array is the
+// TestEventQueueSteadyStateAllocs: once the slab has grown to its
+// high-water mark, push/pop cycles allocate nothing — the slab is the
 // event free list.
 func TestEventQueueSteadyStateAllocs(t *testing.T) {
-	var q eventQueue
+	var (
+		q eventQueue
+		e event
+	)
 	for i := 0; i < 64; i++ {
-		q.push(event{time: int64(i), seq: uint64(i)})
+		q.push(int64(i), evKick, int32(i), 0)
 	}
 	for q.len() > 0 {
-		q.pop()
+		q.pop(&e)
 	}
-	var seq uint64
 	allocs := testing.AllocsPerRun(1000, func() {
 		for i := 0; i < 32; i++ {
-			seq++
-			q.push(event{time: int64(i % 7), seq: seq})
+			q.push(e.time+int64(i%7), evStep, int32(i), 0).val = int32(i)
 		}
 		for q.len() > 0 {
-			q.pop()
+			q.pop(&e)
 		}
 	})
 	if allocs != 0 {
 		t.Errorf("steady-state push/pop allocates %v times per cycle, want 0", allocs)
+	}
+}
+
+// TestEventSize: an event fills exactly half a cache line. A new field
+// must find room in the padding or justify widening every queue slot.
+func TestEventSize(t *testing.T) {
+	if got := unsafe.Sizeof(event{}); got != 32 {
+		t.Errorf("event is %d bytes, want 32", got)
+	}
+}
+
+// TestEventQueuePushClearsPayload: an event pushed into a reused bucket
+// slot, or into the overflow heap, carries only the payload written into
+// it, not that of the event last held there.
+func TestEventQueuePushClearsPayload(t *testing.T) {
+	var (
+		q   eventQueue
+		got event
+	)
+	for _, d := range []int64{1, 2 * calWidth} {
+		e := q.push(got.time+d, evChanReq, 1, 2)
+		e.src, e.ch, e.val, e.op, e.then = 3, 4, 5, opRecv, thenSendDone
+		q.pop(&got)
+		want := event{time: got.time + d, kind: evKick, pe: 6, ctx: 7}
+		q.push(want.time, evKick, 6, 7)
+		if q.pop(&got); got != want {
+			t.Errorf("delta %d: popped %+v, want %+v", d, got, want)
+		}
 	}
 }

@@ -41,9 +41,8 @@ func runFusion(t *testing.T, obj *isa.Object, numPEs int, params Params, fuse bo
 }
 
 // checkFusionEquivalence asserts that fusing runs each follow-up exactly
-// where plain (time, seq) order pops it: the same result or error, the
-// same hook stream and the same Chrome trace as a run that queues every
-// event.
+// where the queue's order pops it: the same result or error, the same
+// hook stream and the same Chrome trace as a run that queues every event.
 func checkFusionEquivalence(t *testing.T, name string, obj *isa.Object, params Params, peCounts []int) {
 	t.Helper()
 	for _, pes := range peCounts {
@@ -157,19 +156,18 @@ func fusionScenario(t *testing.T) (sys *System, log *logRecorder, ch int32, r, s
 // cycle 10 carrying the kick of its idle element, and completes the
 // rendezvous at once, so the request's own handler schedules both
 // deliveries for cycle 10 too. Those were scheduled after the kick, so in
-// (time, seq) order the kick dispatches x before r and s are made ready;
+// schedule order the kick dispatches x before r and s are made ready;
 // the fused kick must do the same, and the whole run must match the run
 // that queues the kick.
 func TestFollowUpRunsBeforeCarrierSameTimeEvents(t *testing.T) {
 	logs := map[bool]string{}
 	for _, fuse := range []bool{true, false} {
 		sys, log, ch, r, s, x := fusionScenario(t)
-		req := event{kind: evChanReq, pe: 0, op: opSend, ch: ch, val: 7, ctx: int32(s.ID), src: 0}
+		req := sys.schedule(10, evChanReq, 0, int32(s.ID))
+		req.op, req.ch, req.val, req.src = opSend, ch, 7, 0
 		if fuse {
 			req.then = thenKick
-			sys.schedule(10, req)
 		} else {
-			sys.schedule(10, req)
 			sys.scheduleKick(0, 10)
 		}
 		sys.runLoop()
@@ -249,7 +247,7 @@ func TestFusedStepBatchesToNow(t *testing.T) {
 		sys.kern.CreateContext(entry, sys.prog.QueueWords(entry), -1, 0, 0, 0)
 		c, _ := sys.kern.NextReady(0)
 		sys.running[0] = c
-		sys.handleStep(event{kind: evStep, pe: 0, ctx: int32(c.ID), then: then, src: 0})
+		sys.handleStep(&event{kind: evStep, pe: 0, ctx: int32(c.ID), then: then, src: 0})
 		got := sys.machines[0].Stats.Instructions
 		if then == thenKick && (got != 1 || sys.q.len() != 1) {
 			t.Errorf("step carrying a kick executed %d instructions and queued %d events, want 1 and its next step", got, sys.q.len())

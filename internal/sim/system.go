@@ -73,7 +73,6 @@ type System struct {
 
 	q   eventQueue
 	now int64
-	seq uint64
 
 	running []*pe.Context
 	lastCtx []*pe.Context // context whose window registers are loaded
@@ -270,26 +269,31 @@ func (s *System) RunContext(ctx context.Context) (*Result, error) {
 	return res, nil
 }
 
-// runLoop is the sequential event loop: pop events in (time, seq) order and
-// dispatch them to their handlers until the program finishes, the queue
-// drains (deadlock), or an error trips. Failures land in s.err.
+// runLoop is the sequential event loop: pop events in time and then
+// schedule order and dispatch them to their handlers until the program
+// finishes, the queue drains (deadlock), or an error trips. Failures land
+// in s.err. Each event is popped into the loop's own e, so a handler may
+// schedule freely while it reads its event.
 //
 // Same-cycle event fusion: when a handler schedules event B at the same
 // time as the event A it scheduled just before, with no schedule call in
 // between, B is fused onto A (A.then) instead of queued. The fusion is
-// exact. B's seq would be A's plus one, so no event could pop between
-// them: one scheduled earlier at their time has a smaller seq and pops
-// before A, one scheduled later has a larger seq than B, and nothing is
-// ever scheduled before the current time. So B runs right after A's
-// handler, as its pop would have, and only when the loop would have gone
-// on to pop it: with no error tripped and the program not finished. The
-// one observer of B's absence from the queue is A's own handler, and only
-// a step looks at the queue; handleStep therefore batches a step that
-// carries a follow-up against the horizon now, where the queued B would
-// have put it. With Params.NoBatch nothing is fused, so the batching
-// oracle runs every event through the queue.
+// exact. B would directly follow A in schedule order, so no event could
+// pop between them: one scheduled earlier at their time pops before A,
+// one scheduled later pops after B, and nothing is ever scheduled before
+// the current time. So B runs right after A's handler, as its pop would
+// have, and only when the loop would have gone on to pop it: with no
+// error tripped and the program not finished. The one observer of B's
+// absence from the queue is A's own handler, and only a step looks at the
+// queue; handleStep therefore batches a step that carries a follow-up
+// against the horizon now, where the queued B would have put it. With
+// Params.NoBatch nothing is fused, so the batching oracle runs every event
+// through the queue.
 func (s *System) runLoop() {
-	var polled uint
+	var (
+		polled uint
+		e      event
+	)
 	for s.q.len() > 0 && !s.finished && s.err == nil {
 		if polled++; polled%ctxPollEvents == 0 {
 			if err := s.runCtx.Err(); err != nil {
@@ -297,7 +301,7 @@ func (s *System) runLoop() {
 				return
 			}
 		}
-		e := s.q.pop()
+		s.q.pop(&e)
 		s.now = e.time
 		if s.now > s.p.MaxCycles {
 			s.err = fmt.Errorf("sim: exceeded %d cycles", s.p.MaxCycles)
@@ -311,15 +315,15 @@ func (s *System) runLoop() {
 		}
 		switch e.kind {
 		case evStep:
-			s.handleStep(e)
+			s.handleStep(&e)
 		case evChanReq:
-			s.handleChanReq(e)
+			s.handleChanReq(&e)
 		case evRecvDone:
-			s.handleRecvDone(e)
+			s.handleRecvDone(&e)
 		case evSendDone:
 			s.sendDone(int(e.pe), int(e.ctx))
 		case evWake:
-			s.handleWake(e)
+			s.handleWake(&e)
 		case evKick:
 			s.dispatch(int(e.pe))
 		}
@@ -344,32 +348,35 @@ func (s *System) followUp(e *event) {
 	}
 }
 
-func (s *System) schedule(t int64, e event) {
-	e.time = t
-	e.seq = s.seq
-	s.seq++
-	s.q.push(e)
+// schedule queues an event of the given kind for processing element peID
+// and context ctx at t, after every event already queued at t, and returns
+// it, written in its queue slot, for the caller to fill in the rest of its
+// payload. The pointer is valid only until the next schedule call.
+func (s *System) schedule(t int64, kind eventKind, peID, ctx int32) *event {
+	return s.q.push(t, kind, peID, ctx)
 }
 
 func (s *System) scheduleKick(peID int, t int64) {
-	s.schedule(t, event{kind: evKick, pe: int32(peID)})
+	s.schedule(t, evKick, int32(peID), 0)
 }
 
-// scheduleFused schedules e at t and, right after it, the follow-up e
-// names: fused onto e, or as an event of its own when fusion is off.
-func (s *System) scheduleFused(t int64, e event) {
+// scheduleThen schedules the follow-up then, on processing element src
+// (for context sctx, a thenSendDone's sender), right after e, which the
+// caller has just scheduled and filled in: fused onto e, or as an event
+// of its own when fusion is off. e must not be used afterwards.
+func (s *System) scheduleThen(e *event, then followUp, src, sctx int32) {
 	if s.fuse {
-		s.schedule(t, e)
+		e.then, e.src = then, src
+		if then == thenSendDone {
+			e.ch = sctx
+		}
 		return
 	}
-	then := e.then
-	e.then = thenNone
-	s.schedule(t, e)
 	switch then {
 	case thenKick:
-		s.scheduleKick(int(e.src), t)
+		s.scheduleKick(int(src), e.time)
 	case thenSendDone:
-		s.schedule(t, event{kind: evSendDone, pe: e.src, ctx: e.sctx()})
+		s.schedule(e.time, evSendDone, src, sctx)
 	}
 }
 
@@ -462,7 +469,7 @@ func (s *System) dispatch(peID int) {
 	if s.rec != nil {
 		s.rec.BeginRun(peID, c.ID, s.now+cost, cost, resumed)
 	}
-	s.schedule(s.now+cost, event{kind: evStep, pe: int32(peID), ctx: int32(c.ID)})
+	s.schedule(s.now+cost, evStep, int32(peID), int32(c.ID))
 }
 
 // handleStep executes the running context's next instruction — and, when
@@ -473,11 +480,10 @@ func (s *System) dispatch(peID int) {
 // per-instruction evStep events the old loop round-tripped through the
 // heap were a private countdown with no observers. An instruction whose
 // issue time reaches the horizon is deferred back through the queue,
-// because a queued event with the same time was scheduled earlier (smaller
-// seq) and must run first; this reproduces the (time, seq) pop order — and
-// with it every recorder hook, sample boundary, and watchdog trip —
-// bit-identically.
-func (s *System) handleStep(e event) {
+// because a queued event with the same time was scheduled earlier and must
+// run first; this reproduces the queue's pop order — and with it every
+// recorder hook, sample boundary, and watchdog trip — bit-identically.
+func (s *System) handleStep(e *event) {
 	c := s.running[e.pe]
 	if c == nil || c.ID != int(e.ctx) {
 		return // stale event after a switch
@@ -496,13 +502,9 @@ func (s *System) handleStep(e event) {
 			s.fail(fmt.Errorf("sim: exceeded %d instructions", s.p.MaxInstructions))
 			return
 		}
-		out, err := m.ExecOne(c, s.now)
-		if err != nil {
-			s.fail(err)
-			return
-		}
-		t := s.now + int64(out.Cycles)
-		switch out.Act {
+		cycles, act := m.Exec(c, s.now)
+		t := s.now + int64(cycles)
+		switch act {
 		case pe.ActNone:
 			// Straight-line: fall through to the batch continuation test.
 		case pe.ActSend:
@@ -511,7 +513,7 @@ func (s *System) handleStep(e event) {
 			if s.rec != nil {
 				s.rec.EndRun(int(e.pe), c.ID, t, trace.EndBlockedSend)
 			}
-			s.routeChanOp(t, int(e.pe), opSend, out.Ch, out.Val, c.ID)
+			s.routeChanOp(t, int(e.pe), opSend, m.Ch, m.Val, c.ID)
 			return
 		case pe.ActRecv:
 			c.Status = pe.BlockedRecv
@@ -519,14 +521,17 @@ func (s *System) handleStep(e event) {
 			if s.rec != nil {
 				s.rec.EndRun(int(e.pe), c.ID, t, trace.EndBlockedRecv)
 			}
-			s.routeChanOp(t, int(e.pe), opRecv, out.Ch, 0, c.ID)
+			s.routeChanOp(t, int(e.pe), opRecv, m.Ch, 0, c.ID)
 			return
 		case pe.ActTrap:
-			s.handleTrap(int(e.pe), c, out.Code, out.Arg, t)
+			s.handleTrap(int(e.pe), c, m.Code, m.Arg, t)
+			return
+		case pe.ActFault:
+			s.fail(m.Err)
 			return
 		}
 		if t >= horizon {
-			s.schedule(t, event{kind: evStep, pe: e.pe, ctx: int32(c.ID)})
+			s.schedule(t, evStep, e.pe, int32(c.ID))
 			return
 		}
 		// The next step would be the queue minimum anyway; take it without
@@ -565,17 +570,20 @@ func (s *System) routeChanOp(t int64, fromPE int, op chanOp, ch, val int32, ctxI
 		return
 	}
 	home := int(ch) % s.numPEs
-	req := event{kind: evChanReq, pe: int32(home), op: op, ch: ch, val: val, ctx: int32(ctxID), src: int32(fromPE)}
+	at := t
+	if home != fromPE {
+		at = s.bus.Transfer(t, fromPE, home)
+	}
+	req := s.schedule(at, evChanReq, int32(home), int32(ctxID))
+	req.op, req.ch, req.val, req.src = op, ch, val, int32(fromPE)
 	if home == fromPE {
-		req.then = thenKick
-		s.scheduleFused(t, req)
+		s.scheduleThen(req, thenKick, int32(fromPE), 0)
 		return
 	}
-	s.schedule(s.bus.Transfer(t, fromPE, home), req)
 	s.scheduleKick(fromPE, t)
 }
 
-func (s *System) handleChanReq(e event) {
+func (s *System) handleChanReq(e *event) {
 	home := int(e.pe)
 	start := max(s.now, s.mpFree[home])
 	requester := mcache.ContextRef{PE: int(e.src), Ctx: int(e.ctx)}
@@ -624,17 +632,16 @@ func (s *System) handleChanReq(e event) {
 	if done.Sender.PE != home {
 		sArrive = s.bus.Transfer(finish, home, done.Sender.PE)
 	}
-	recv := event{kind: evRecvDone, pe: int32(done.Receiver.PE), ctx: int32(done.Receiver.Ctx), val: done.Value}
+	recv := s.schedule(rArrive, evRecvDone, int32(done.Receiver.PE), int32(done.Receiver.Ctx))
+	recv.val = done.Value
 	if sArrive == rArrive {
-		recv.then, recv.src, recv.ch = thenSendDone, int32(done.Sender.PE), int32(done.Sender.Ctx)
-		s.scheduleFused(rArrive, recv)
+		s.scheduleThen(recv, thenSendDone, int32(done.Sender.PE), int32(done.Sender.Ctx))
 		return
 	}
-	s.schedule(rArrive, recv)
-	s.schedule(sArrive, event{kind: evSendDone, pe: int32(done.Sender.PE), ctx: int32(done.Sender.Ctx)})
+	s.schedule(sArrive, evSendDone, int32(done.Sender.PE), int32(done.Sender.Ctx))
 }
 
-func (s *System) handleRecvDone(e event) {
+func (s *System) handleRecvDone(e *event) {
 	c, err := s.kern.Context(int(e.ctx))
 	if err != nil {
 		s.fail(err)
@@ -660,7 +667,7 @@ func (s *System) sendDone(peID, ctxID int) {
 	s.dispatch(peID)
 }
 
-func (s *System) handleWake(e event) {
+func (s *System) handleWake(e *event) {
 	c, err := s.kern.Context(int(e.ctx))
 	if err != nil {
 		s.fail(err)
@@ -726,7 +733,8 @@ func (s *System) handleTrap(peID int, c *pe.Context, code, arg int32, t int64) {
 		child.SetChannels(cin, cout)
 		// The parent resumes and the child's element is kicked in the
 		// same cycle, so the kick rides on the parent's step.
-		s.scheduleFused(t+s.p.ForkCycles, event{kind: evStep, pe: int32(peID), ctx: int32(c.ID), then: thenKick, src: int32(target)})
+		step := s.schedule(t+s.p.ForkCycles, evStep, int32(peID), int32(c.ID))
+		s.scheduleThen(step, thenKick, int32(target), 0)
 
 	case isa.KChanNew:
 		ch := s.kern.AllocChannel()
@@ -734,14 +742,14 @@ func (s *System) handleTrap(peID int, c *pe.Context, code, arg int32, t int64) {
 			s.fail(err)
 			return
 		}
-		s.schedule(t, event{kind: evStep, pe: int32(peID), ctx: int32(c.ID)})
+		s.schedule(t, evStep, int32(peID), int32(c.ID))
 
 	case isa.KNow:
 		if err := s.machines[peID].Complete(c, int32(t)); err != nil {
 			s.fail(err)
 			return
 		}
-		s.schedule(t, event{kind: evStep, pe: int32(peID), ctx: int32(c.ID)})
+		s.schedule(t, evStep, int32(peID), int32(c.ID))
 
 	case isa.KWait:
 		c.Status = pe.BlockedWait
@@ -750,7 +758,7 @@ func (s *System) handleTrap(peID int, c *pe.Context, code, arg int32, t int64) {
 			s.rec.EndRun(peID, c.ID, t, trace.EndBlockedWait)
 		}
 		wake := max(t, int64(arg))
-		s.schedule(wake, event{kind: evWake, pe: int32(peID), ctx: int32(c.ID)})
+		s.schedule(wake, evWake, int32(peID), int32(c.ID))
 		s.scheduleKick(peID, t)
 
 	default:
